@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -23,9 +24,9 @@ class BBox:
 
     Coordinates are real-valued and deliberately unclipped: boxes may extend
     past image borders, which is legitimate for partially visible objects.
-    Width and height must be strictly positive. The tlbr (corner pair) and
-    cxcyah (center-x, center-y, aspect w/h, height) encodings are derived
-    views of the same box.
+    All four values must be finite, and width and height strictly positive.
+    The tlbr (corner pair) and cxcyah (center-x, center-y, aspect w/h, height)
+    encodings are derived views of the same box.
     """
 
     left: float
@@ -38,6 +39,9 @@ class BBox:
         object.__setattr__(self, "top", float(self.top))
         object.__setattr__(self, "width", float(self.width))
         object.__setattr__(self, "height", float(self.height))
+        if not (isfinite(self.left) and isfinite(self.top)
+                and isfinite(self.width) and isfinite(self.height)):
+            raise ValueError(f"box values must be finite, got {self.tlwh()}")
         if not (self.width > 0.0 and self.height > 0.0):
             raise ValueError(
                 f"box size must be positive, got {self.width} x {self.height}"
@@ -126,21 +130,30 @@ def iou_matrix_tlbr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Degenerate rows (non-positive extent) get zero similarity instead of an
     error; this lets callers feed raw motion predictions without pre-filtering.
+    Cells whose union is not positive (or is NaN) are 0.
     """
     a = np.asarray(a, dtype=float).reshape(-1, 4)
     b = np.asarray(b, dtype=float).reshape(-1, 4)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[0]), dtype=float)
-    lt = np.maximum(a[:, None, :2], b[None, :, :2])
-    rb = np.minimum(a[:, None, 2:], b[None, :, 2:])
-    wh = np.clip(rb - lt, 0.0, None)
-    inter = wh[..., 0] * wh[..., 1]
-    area_a = np.clip(a[:, 2] - a[:, 0], 0.0, None) * np.clip(a[:, 3] - a[:, 1], 0.0, None)
-    area_b = np.clip(b[:, 2] - b[:, 0], 0.0, None) * np.clip(b[:, 3] - b[:, 1], 0.0, None)
-    union = area_a[:, None] + area_b[None, :] - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(union > 0.0, inter / union, 0.0)
-    return out
+    al, at, ar, ab = a.T[:, :, None]
+    bl, bt, br, bb = b.T[:, None, :]
+    # per axis max(min(right) - max(left), 0) on (N, M) planes, in place; each
+    # cell sees the operations of the (N, M, 2) formula in the same order, so
+    # the matrix is bit-identical to it
+    iw = np.minimum(ar, br)
+    iw -= np.maximum(al, bl)
+    np.maximum(iw, 0.0, out=iw)
+    ih = np.minimum(ab, bb)
+    ih -= np.maximum(at, bt)
+    np.maximum(ih, 0.0, out=ih)
+    inter = np.multiply(iw, ih, out=iw)
+    area_a = np.maximum(ar - al, 0.0) * np.maximum(ab - at, 0.0)
+    area_b = np.maximum(br - bl, 0.0) * np.maximum(bb - bt, 0.0)
+    union = np.add(area_a, area_b, out=ih)
+    union -= inter
+    positive = union > 0.0
+    return np.divide(inter, union, out=np.zeros_like(union), where=positive)
 
 
 def iou_matrix(tracks, dets) -> np.ndarray:

@@ -8,14 +8,16 @@ ground truth frame,id,left,top,w,h[,flag[,class[,visibility]]]
 
 Files are UTF-8; both LF and CRLF line endings are accepted and LF is
 emitted. Every input line either yields a record or a diagnostic carrying
-its line number: malformed lines raise ParseError, rows with non-positive
-box sizes are skipped with a warning, and confidences outside [0, 1] are
-clamped with a warning.
+its line number: malformed lines (including NaN or infinite box values or
+confidences, and a ground-truth identity repeated within a frame) raise
+ParseError, rows with non-positive box sizes are skipped with a warning, and
+confidences outside [0, 1] are clamped with a warning.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 from .geometry import BBox, Detection
@@ -109,16 +111,22 @@ def _int_field(path, lineno: int, value: float, what: str) -> int:
 
 
 def _box(path, lineno: int, left, top, width, height) -> BBox | None:
-    if width <= 0 or height <= 0:
-        logger.warning(
-            "%s:%d: skipping row with non-positive box size %.6g x %.6g",
-            path, lineno, width, height,
-        )
-        return None
-    return BBox(left, top, width, height)
+    # BBox validates the values; the row is diagnosed only when it rejects them
+    try:
+        return BBox(left, top, width, height)
+    except ValueError as exc:
+        if not all(map(math.isfinite, (left, top, width, height))):
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+    logger.warning(
+        "%s:%d: skipping row with non-positive box size %.6g x %.6g",
+        path, lineno, width, height,
+    )
+    return None
 
 
 def _score(path, lineno: int, conf: float) -> float:
+    if math.isnan(conf):
+        raise ParseError(f"{path}:{lineno}: confidence is NaN")
     if conf < 0.0 or conf > 1.0:
         clamped = min(max(conf, 0.0), 1.0)
         logger.warning(
@@ -208,8 +216,9 @@ def read_gt(path) -> list[GtEntry]:
     """Parse ground truth. Nine-column files carry an active flag, a class id
     and a visibility ratio; an entry is considered when flag == 1 and the
     class is pedestrian. Minimal 6/7-column files are accepted with every row
-    considered."""
+    considered. A (frame, identity) pair may appear only once."""
     entries = []
+    first_line: dict[tuple[int, int], int] = {}
     for lineno, line in _lines(path):
         vals = _fields(path, lineno, line, minimum=6)
         frame = _int_field(path, lineno, vals[0], "frame")
@@ -217,6 +226,12 @@ def read_gt(path) -> list[GtEntry]:
         box = _box(path, lineno, vals[2], vals[3], vals[4], vals[5])
         if box is None:
             continue
+        first = first_line.setdefault((frame, identity), lineno)
+        if first != lineno:
+            raise ParseError(
+                f"{path}:{lineno}: identity {identity} repeated in frame {frame} "
+                f"(first at line {first})"
+            )
         if len(vals) >= 8:
             flag = _int_field(path, lineno, vals[6], "active flag")
             cls = _int_field(path, lineno, vals[7], "class id")

@@ -217,7 +217,10 @@ class ByteTracker:
         """Run one association round and return the tracks to emit.
 
         The frame index must strictly increase across calls and every
-        detection must carry this frame's index.
+        detection must carry this frame's index. Frames skipped since the
+        last call are advanced as empty frames while any track is live, so a
+        gap predicts, loses and removes tracks exactly as feeding the empty
+        frames would; their lost and removed counts are added to last_stats.
         """
         if frame <= self._frame:
             raise ValueError(
@@ -228,6 +231,20 @@ class ByteTracker:
                 raise ValueError(
                     f"detection frame {det.frame} does not match step frame {frame}"
                 )
+        gap_lost = gap_removed = 0
+        for skipped in range(self._frame + 1, frame):
+            if not self._tracks:
+                break
+            self._advance(skipped, [])
+            gap_lost += self.last_stats.n_lost
+            gap_removed += self.last_stats.n_removed
+        return self._advance(frame, detections, gap_lost, gap_removed)
+
+    def _advance(
+        self, frame: int, detections: list[Detection], n_lost: int = 0, n_removed: int = 0
+    ) -> FrameResult:
+        """One association round on validated input; n_lost and n_removed
+        start from the counts carried over a frame gap."""
         self._frame = frame
         cfg = self.config
 
@@ -262,7 +279,6 @@ class ByteTracker:
             n_low_discarded = len(unmatched_low)
             remain_tracks = sorted(unmatched + skipped)
 
-        n_lost = 0
         for i in remain_tracks:
             track = self._tracks[i]
             if track.state is TrackState.TRACKED:
@@ -270,7 +286,6 @@ class ByteTracker:
                 n_lost += 1
 
         survivors = []
-        n_removed = 0
         for track in self._tracks:
             if (
                 track.state is TrackState.LOST

@@ -7,6 +7,7 @@ recursions) and shares no code with the library paths it checks.
 from itertools import combinations, permutations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 
 def dp_assignment(cost, feasible) -> tuple[int, float]:
@@ -51,6 +52,65 @@ def enum_assignment(cost, feasible) -> tuple[int, float]:
                     if (k, -tot) > (best[0], -best[1]):
                         best = (k, tot)
     return best
+
+
+def iou_matrix_tlbr_dense(a, b) -> np.ndarray:
+    """The (N, M, 2)-temporary pairwise IoU formula that the plane-wise
+    ``geometry.iou_matrix_tlbr`` replaced, kept verbatim as its bit-level
+    reference."""
+    a = np.asarray(a, dtype=float).reshape(-1, 4)
+    b = np.asarray(b, dtype=float).reshape(-1, 4)
+    if a.shape[0] == 0 or b.shape[0] == 0:
+        return np.zeros((a.shape[0], b.shape[0]), dtype=float)
+    lt = np.maximum(a[:, None, :2], b[None, :, :2])
+    rb = np.minimum(a[:, None, 2:], b[None, :, 2:])
+    wh = np.clip(rb - lt, 0.0, None)
+    inter = wh[..., 0] * wh[..., 1]
+    area_a = np.clip(a[:, 2] - a[:, 0], 0.0, None) * np.clip(a[:, 3] - a[:, 1], 0.0, None)
+    area_b = np.clip(b[:, 2] - b[:, 0], 0.0, None) * np.clip(b[:, 3] - b[:, 1], 0.0, None)
+    union = area_a[:, None] + area_b[None, :] - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(union > 0.0, inter / union, 0.0)
+    return out
+
+
+def padded_full_assignment(cost, feasible=None):
+    """The full-matrix padded solver that ``assignment.solve`` ran before it
+    settled forced pairs, kept verbatim as its reference.
+
+    Returns (matches sorted by row, unmatched rows, unmatched cols).
+    """
+    cost = np.asarray(cost, dtype=float)
+    n, m = cost.shape
+    mask = np.isfinite(cost)
+    if feasible is not None:
+        mask &= np.asarray(feasible, dtype=bool)
+    if n == 0 or m == 0 or not mask.any():
+        return [], list(range(n)), list(range(m))
+
+    usable = cost[mask]
+    span = float(usable.max() - min(0.0, usable.min()))
+    big = span * min(n, m) + 1.0
+
+    padded = np.full((n + m, n + m), np.inf)
+    block = np.full((n, m), np.inf)
+    block[mask] = cost[mask] - big
+    padded[:n, :m] = block
+    padded[np.arange(n), m + np.arange(n)] = 0.0
+    padded[n + np.arange(m), np.arange(m)] = 0.0
+    padded[n:, m:] = 0.0
+
+    rows, cols = linear_sum_assignment(padded)
+    matches = sorted(
+        (int(r), int(c)) for r, c in zip(rows, cols) if r < n and c < m
+    )
+    matched_rows = {r for r, _ in matches}
+    matched_cols = {c for _, c in matches}
+    return (
+        matches,
+        [r for r in range(n) if r not in matched_rows],
+        [c for c in range(m) if c not in matched_cols],
+    )
 
 
 def max_weight_matching_enum(weights) -> float:

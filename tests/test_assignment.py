@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bytemot.assignment import Assignment, min_cost_assignment, solve
-from oracles import dp_assignment, enum_assignment
+from bytemot.geometry import iou_matrix_tlbr
+from oracles import dp_assignment, enum_assignment, padded_full_assignment
 
 
 def check_partition(assign: Assignment, n: int, m: int):
@@ -45,6 +48,20 @@ class TestExamples:
         cost = np.array([[0.01, 0.4], [0.6, np.inf]])
         a = solve(cost)
         assert a.matches == [(0, 1), (1, 0)]
+
+    def test_forced_pair_settled_beside_contested_block(self):
+        # (0, 2) is alone in its row and column, rows 1-2 contest columns
+        # 0-1, and row 3 / column 3 have no feasible cell
+        inf = np.inf
+        cost = np.array([
+            [inf, inf, 0.3, inf],
+            [0.2, 0.1, inf, inf],
+            [0.4, 0.6, inf, inf],
+            [inf, inf, inf, inf],
+        ])
+        a = solve(cost)
+        assert a.matches == [(0, 2), (1, 1), (2, 0)]
+        assert a.unmatched_rows == [3] and a.unmatched_cols == [3]
 
     def test_empty_dimensions(self):
         a = solve(np.zeros((0, 3)))
@@ -128,3 +145,61 @@ class TestProperties:
         first = solve(cost)
         for _ in range(5):
             assert solve(cost).matches == first.matches
+
+
+@st.composite
+def box_layouts(draw):
+    """(1 - IoU cost, min_iou, rng) for tracks against detections laid out so
+    that forced pairs, contested blocks or all-feasible matrices dominate."""
+    kind = draw(st.sampled_from(["sparse", "blocks", "dense"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    min_iou = draw(st.sampled_from([0.2, 0.5, 0.0]))
+    rng = np.random.default_rng(seed)
+    size = 30.0
+    # objects sit at far-apart sites, most detections on a track's site; a
+    # site holding one track and one detection is a forced pair, a site
+    # holding more is contested
+    pool = {"sparse": 2 * n + 2, "blocks": rng.integers(1, 4), "dense": 1}[kind]
+    t_site = rng.integers(0, pool, size=n)
+    d_site = np.where(
+        rng.random(m) < 0.7, rng.choice(t_site, size=m), rng.integers(0, pool, size=m)
+    )
+    t_xy = np.stack([t_site * 200.0, np.zeros(n)], axis=1)
+    d_xy = np.stack([d_site * 200.0, np.zeros(m)], axis=1)
+    t_xy = t_xy + rng.uniform(-8, 8, size=(n, 2))
+    d_xy = d_xy + rng.uniform(-8, 8, size=(m, 2))
+    tracks = np.hstack([t_xy, t_xy + size])
+    dets = np.hstack([d_xy, d_xy + size])
+    return 1.0 - iou_matrix_tlbr(tracks, dets), min_iou, rng
+
+
+class TestSettledSolveEquivalence:
+    """Settling forced pairs before the padded solve must keep the
+    lexicographic optimum of the full-matrix solver."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(box_layouts())
+    def test_same_cardinality_and_cost_as_oracle(self, layout):
+        cost, min_iou, _ = layout
+        n, m = cost.shape
+        a = min_cost_assignment(cost, min_iou=min_iou)
+        check_partition(a, n, m)
+        assert a.matches == sorted(a.matches)
+        feasible = cost <= 1.0 - min_iou
+        assert all(feasible[r, c] for r, c in a.matches)
+        card, total = dp_assignment(cost, feasible)
+        assert len(a.matches) == card
+        assert a.total_cost(cost) == pytest.approx(total, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(box_layouts())
+    def test_same_matches_as_full_solver_without_ties(self, layout):
+        cost, min_iou, rng = layout
+        feasible = cost <= 1.0 - min_iou
+        # distinct jitter breaks the ties between zero-overlap cells
+        cost = cost + rng.uniform(0.0, 1e-3, size=cost.shape)
+        a = solve(cost, feasible)
+        assert (a.matches, a.unmatched_rows, a.unmatched_cols) == (
+            padded_full_assignment(cost, feasible)
+        )

@@ -11,9 +11,10 @@ from bytemot.geometry import (
     from_cxcyah,
     iou,
     iou_matrix,
+    iou_matrix_tlbr,
     to_cxcyah,
 )
-from oracles import rasterized_iou
+from oracles import iou_matrix_tlbr_dense, rasterized_iou
 
 
 def tlwh(l, t, w, h):
@@ -35,6 +36,14 @@ class TestBBox:
             BBox(0, 0, 0, 10)
         with pytest.raises(ValueError):
             BBox(0, 0, 10, -1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", range(4))
+    def test_rejects_non_finite_values(self, field, value):
+        values = [1.0, 2.0, 3.0, 4.0]
+        values[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            BBox(*values)
 
     def test_views(self):
         b = tlwh(3, 4, 8, 8)
@@ -145,3 +154,64 @@ class TestIouMatrix:
         for i, a in enumerate(tracks):
             for j, b in enumerate(dets):
                 assert math.isclose(m[i, j], iou(a, b), rel_tol=1e-12, abs_tol=1e-12)
+
+
+# Corner values on a coarse grid make touching, identical and zero-extent
+# boxes common; the special values cover non-finite and signed-zero input.
+corner = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-50, 50),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+)
+tlbr_rows = st.lists(st.tuples(corner, corner, corner, corner), max_size=6)
+
+
+@st.composite
+def tlbr_pairs(draw):
+    """Two tlbr arrays where the second may reuse rows of the first, so
+    identical boxes meet across the matrix."""
+    a = draw(tlbr_rows)
+    b = draw(tlbr_rows)
+    if a:
+        b += draw(st.lists(st.sampled_from(a), max_size=3))
+    return np.array(a, dtype=float).reshape(-1, 4), np.array(b, dtype=float).reshape(-1, 4)
+
+
+class TestIouMatrixEquivalence:
+    """The plane-wise IoU must reproduce the dense (N, M, 2) formula bit for
+    bit, NaN cells and signed zeros included."""
+
+    @staticmethod
+    def assert_bit_identical(a, b):
+        with np.errstate(all="ignore"):
+            want = iou_matrix_tlbr_dense(a, b)
+            got = iou_matrix_tlbr(a, b)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=300)
+    @given(tlbr_pairs())
+    def test_bit_identical_to_dense_formula(self, pair):
+        self.assert_bit_identical(*pair)
+
+    def test_bit_identical_on_random_layouts(self):
+        # arbitrary doubles, where any reordered rounding step would show
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n, m = rng.integers(1, 40, size=2)
+            xy = rng.uniform(0, 200, size=(n + m, 2))
+            boxes = np.hstack([xy, xy + rng.uniform(1, 60, size=(n + m, 2))])
+            self.assert_bit_identical(boxes[:n], boxes[n:])
+
+    def test_degenerate_touching_and_identical(self):
+        a = np.array([
+            [0.0, 0.0, 1.0, 1.0],   # unit box
+            [1.0, 0.0, 2.0, 1.0],   # touches the unit box on its right edge
+            [3.0, 3.0, 3.0, 5.0],   # zero width
+            [5.0, 5.0, 4.0, 4.0],   # inverted corners
+        ])
+        got = iou_matrix_tlbr(a, a)
+        assert np.array_equal(got, iou_matrix_tlbr_dense(a, a))
+        assert got[0, 0] == 1.0 and got[1, 1] == 1.0
+        assert got[0, 1] == 0.0 and got[1, 0] == 0.0
+        assert not got[2:].any() and not got[:, 2:].any()

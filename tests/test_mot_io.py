@@ -78,6 +78,21 @@ class TestReadDetections:
             dets = read_detections(p)
         assert dets[0].score == 0.0
 
+    @pytest.mark.parametrize("box", [
+        "nan,20,30,40", "10,inf,30,40", "10,20,nan,40", "10,20,30,-inf", "10,20,-inf,40",
+    ])
+    def test_non_finite_box_value_errors_with_line_number(self, tmp_path, box):
+        p = tmp_path / "det.txt"
+        p.write_text(f"1,-1,10,20,30,40,0.9,-1,-1,-1\n2,-1,{box},0.9,-1,-1,-1\n")
+        with pytest.raises(ParseError, match=r"det\.txt:2:.*finite"):
+            read_detections(p)
+
+    def test_nan_confidence_errors_with_line_number(self, tmp_path):
+        p = tmp_path / "det.txt"
+        p.write_text("1,-1,10,20,30,40,nan,-1,-1,-1\n")
+        with pytest.raises(ParseError, match=r":1:.*NaN"):
+            read_detections(p)
+
     def test_frame_floor(self, tmp_path):
         p = tmp_path / "det.txt"
         p.write_text("0,-1,10,20,30,40,0.85,-1,-1,-1\n")
@@ -141,6 +156,14 @@ class TestResultsRoundTrip:
             read_results(p)
 
 
+class TestReadResults:
+    def test_non_finite_box_value_errors(self, tmp_path):
+        p = tmp_path / "res.txt"
+        p.write_text("1,1,10,20,30,40,0.9,-1,-1,-1\n1,2,nan,20,30,40,0.9,-1,-1,-1\n")
+        with pytest.raises(ParseError, match=r":2:.*finite"):
+            read_results(p)
+
+
 class TestReadGt:
     def test_nine_column_pedestrian(self, tmp_path):
         p = tmp_path / "gt.txt"
@@ -164,6 +187,18 @@ class TestReadGt:
         entry = read_gt(p)[0]
         assert entry.considered is True
         assert entry.visibility == 1.0
+
+    def test_non_finite_box_value_errors(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_text("1,2,10,20,inf,40\n")
+        with pytest.raises(ParseError, match=r":1:.*finite"):
+            read_gt(p)
+
+    def test_duplicate_identity_in_frame_errors_at_repeated_row(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_text("1,2,10,20,30,40\n1,3,50,20,30,40\n2,2,12,20,30,40\n1,2,11,20,30,40\n")
+        with pytest.raises(ParseError, match=r"gt\.txt:4:.*identity 2.*frame 1.*line 1"):
+            read_gt(p)
 
     def test_six_column_minimal(self, tmp_path):
         p = tmp_path / "gt.txt"

@@ -169,6 +169,40 @@ class TestRebirth:
         assert tracker.tracks == []
 
 
+class TestFrameGaps:
+    @staticmethod
+    def lifecycle_run(frames, skip_empty, **cfg_kwargs):
+        """Two boxes moving +10 px/frame, detected on the given frames; frames
+        without detections are either fed empty or skipped."""
+        tracker = ByteTracker(TrackerConfig(**cfg_kwargs))
+        outputs, lost, removed = [], 0, 0
+        for frame in range(1, max(frames) + 1):
+            if frame not in frames and skip_empty:
+                continue
+            dets = []
+            if frame in frames:
+                dets = [det(frame, 10 * frame, 0, 20, 40, 0.9),
+                        det(frame, 10 * frame, 300, 20, 40, 0.9)]
+            result = tracker.step(frame, dets)
+            outputs.append([(o.track_id, o.box) for o in result.outputs])
+            lost += tracker.last_stats.n_lost
+            removed += tracker.last_stats.n_removed
+        return [o for o in outputs if o], lost, removed
+
+    @pytest.mark.parametrize("frames", [
+        {1, 2, 3, 4, 5, 10},       # short gap: the identity carries over
+        {1, 2, 3, 40},             # gap past lost_ttl: tracks are removed
+        {1, 2, 3, 8, 9, 25, 70},   # several gaps
+    ])
+    def test_gap_equals_feeding_empty_frames(self, frames):
+        assert self.lifecycle_run(frames, True) == self.lifecycle_run(frames, False)
+
+    def test_moving_box_keeps_identity_across_gap(self):
+        outputs, lost, removed = self.lifecycle_run({1, 2, 3, 4, 5, 10}, True)
+        assert [tid for tid, _ in outputs[-1]] == [1, 2]
+        assert (lost, removed) == (2, 0)
+
+
 class TestInvariants:
     @staticmethod
     def random_recoverable_stream(rng, frames=25, objects=4):
