@@ -12,7 +12,6 @@ from .kalman import KalmanFilter, MotionState
 from .metrics import EvalResult, GtEntry, aggregate, clear_mot, evaluate, idf1
 from .mot_io import (
     ParseError,
-    SequenceBundle,
     group_by_frame,
     read_detections,
     read_gt,
@@ -48,7 +47,6 @@ __all__ = [
     "MotionState",
     "ParseError",
     "ScenarioConfig",
-    "SequenceBundle",
     "Track",
     "TrackEntry",
     "TrackState",

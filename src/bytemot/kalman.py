@@ -1,11 +1,19 @@
-"""Constant-velocity Kalman filter over (cx, cy, aspect, height) box states.
+"""Constant-velocity Kalman filter over batches of (cx, cy, aspect, height) box states.
 
 The 8-dimensional state is (cx, cy, a, h, vcx, vcy, va, vh): box center,
 aspect ratio w/h, height, and their per-frame velocities with dt fixed at one
 frame. Process and measurement noise are diagonal with standard deviations
 proportional to the box height (position-like components) except for the
-dimensionless aspect ratio, which uses small constant stds. All operations
-are pure: they take a state value and return a new one.
+dimensionless aspect ratio, which uses small constant stds.
+
+There is one code path. A MotionState is a batch of N beliefs, mean (N, 8) and
+cov (N, 8, 8), and ``initiate``, ``predict_many`` and ``update_many`` compute
+every row with the same numpy operations, so a row's result does not depend on
+the other rows of its batch. A single belief (mean (8,), cov (8, 8)) runs
+through the same code; ``predict`` and ``update`` are the names for that use.
+The operations never write to the state they are given and return fresh
+arrays that the caller owns: the tracker keeps them as its track table and
+scatters updated rows back into it.
 """
 
 from __future__ import annotations
@@ -17,41 +25,45 @@ import numpy as np
 __all__ = ["MotionState", "KalmanFilter"]
 
 NDIM = 4
+_DIAG = np.arange(2 * NDIM)
 
 
 @dataclass(frozen=True)
 class MotionState:
-    """Immutable Gaussian belief over one track's box state.
+    """Gaussian beliefs over box states: mean (N, 8) and cov (N, 8, 8) for a
+    batch of N, or mean (8,) and cov (8, 8) for one belief.
 
-    mean is an 8-vector, cov an 8x8 symmetric positive-definite matrix. The
-    arrays are copied and marked read-only on construction.
+    The arrays are held as given (converted to float, not copied); indexing
+    with rows returns the batch of those rows.
     """
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float)
-        cov = np.array(self.cov, dtype=float)
-        if mean.shape != (2 * NDIM,) or cov.shape != (2 * NDIM, 2 * NDIM):
+        mean = np.asarray(self.mean, dtype=float)
+        cov = np.asarray(self.cov, dtype=float)
+        if mean.ndim not in (1, 2) or mean.shape[-1:] != (2 * NDIM,) or (
+            cov.shape != mean.shape + (2 * NDIM,)
+        ):
             raise ValueError(
-                f"expected mean (8,) and cov (8, 8), got {mean.shape} and {cov.shape}"
+                f"expected mean (N, 8) or (8,) and cov (N, 8, 8) or (8, 8), "
+                f"got {mean.shape} and {cov.shape}"
             )
-        mean.setflags(write=False)
-        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
+    def __len__(self) -> int:
+        if self.mean.ndim != 2:
+            raise TypeError("a single MotionState has no len()")
+        return len(self.mean)
 
-def _wrap_owned(mean: np.ndarray, cov: np.ndarray) -> MotionState:
-    # fast path for freshly computed arrays whose ownership is handed over;
-    # skips the defensive copy of the public constructor
-    state = object.__new__(MotionState)
-    mean.setflags(write=False)
-    cov.setflags(write=False)
-    object.__setattr__(state, "mean", mean)
-    object.__setattr__(state, "cov", cov)
-    return state
+    def __getitem__(self, rows) -> MotionState:
+        return MotionState(self.mean[rows], self.cov[rows])
+
+
+def _symmetric(cov: np.ndarray) -> np.ndarray:
+    return (cov + cov.swapaxes(-1, -2)) / 2.0
 
 
 class KalmanFilter:
@@ -78,106 +90,63 @@ class KalmanFilter:
         self._motion = np.eye(2 * NDIM)
         self._motion[:NDIM, NDIM:] = np.eye(NDIM)
 
-    def _pos_stds(self, h: float, scale: float = 1.0) -> np.ndarray:
-        s = self.pos_weight * h * scale
-        return np.array([s, s, self.aspect_pos_std, s])
+    def _stds(self, h: np.ndarray, pos_scale: float = 1.0, vel_scale: float = 1.0) -> np.ndarray:
+        """Per-row noise stds (..., 8) for heights h; the aspect stds are
+        constant and never scaled."""
+        std = np.empty(np.shape(h) + (2 * NDIM,))
+        std[..., 0] = std[..., 1] = std[..., 3] = self.pos_weight * h * pos_scale
+        std[..., 4] = std[..., 5] = std[..., 7] = self.vel_weight * h * vel_scale
+        std[..., 2] = self.aspect_pos_std
+        std[..., 6] = self.aspect_vel_std
+        return std
 
-    def _vel_stds(self, h: float, scale: float = 1.0) -> np.ndarray:
-        s = self.vel_weight * h * scale
-        return np.array([s, s, self.aspect_vel_std, s])
-
-    @staticmethod
-    def _noise_height(h: float) -> float:
-        # noise scales must stay positive even for degraded predicted states
-        return max(float(h), 1e-3)
-
-    def initiate(self, measurement) -> MotionState:
-        """Create a track state from an unassociated (cx, cy, a, h) measurement.
+    def initiate(self, measurements) -> MotionState:
+        """Create states from unassociated (cx, cy, a, h) measurements, one
+        per row of an (N, 4) array (or one 4-vector).
 
         Velocities start at exactly zero with inflated uncertainty.
         """
-        m = np.asarray(measurement, dtype=float)
-        if m.shape != (NDIM,):
-            raise ValueError(f"expected a 4-vector measurement, got shape {m.shape}")
-        if m[3] <= 0.0:
-            raise ValueError(f"measurement height must be positive, got {m[3]}")
-        mean = np.concatenate([m, np.zeros(NDIM)])
-        std = np.concatenate([self._pos_stds(m[3], 2.0), self._vel_stds(m[3], 10.0)])
-        return MotionState(mean, np.diag(std * std))
+        m = np.asarray(measurements, dtype=float)
+        if m.ndim not in (1, 2) or m.shape[-1:] != (NDIM,):
+            raise ValueError(f"expected (N, 4) or (4,) measurements, got shape {m.shape}")
+        if np.any(m[..., 3] <= 0.0):
+            raise ValueError(f"measurement heights must be positive, got {m[..., 3]}")
+        std = self._stds(m[..., 3], 2.0, 10.0)
+        mean = np.zeros(std.shape)
+        mean[..., :NDIM] = m
+        cov = np.zeros(std.shape + (2 * NDIM,))
+        cov[..., _DIAG, _DIAG] = std * std
+        return MotionState(mean, cov)
 
-    def predict(self, state: MotionState) -> MotionState:
-        """Advance the belief one frame under the constant-velocity model."""
-        h = self._noise_height(state.mean[3])
-        std = np.concatenate([self._pos_stds(h), self._vel_stds(h)])
-        mean = self._motion @ state.mean
-        cov = self._motion @ state.cov @ self._motion.T + np.diag(std * std)
-        return MotionState(mean, (cov + cov.T) / 2.0)
+    def predict_many(self, states: MotionState) -> MotionState:
+        """Advance every belief one frame under the constant-velocity model."""
+        # noise scales must stay positive even for degraded predicted states
+        std = self._stds(np.maximum(states.mean[..., 3], 1e-3))
+        mean = states.mean @ self._motion.T
+        cov = self._motion @ states.cov @ self._motion.T
+        cov[..., _DIAG, _DIAG] += std * std
+        return MotionState(mean, _symmetric(cov))
 
-    def predict_many(self, states: list[MotionState]) -> list[MotionState]:
-        """Batched :meth:`predict`, numerically identical to the per-state form."""
-        if not states:
-            return []
-        means = np.stack([s.mean for s in states])
-        covs = np.stack([s.cov for s in states])
-        hs = np.maximum(means[:, 3], 1e-3)
-        pos = self.pos_weight * hs
-        vel = self.vel_weight * hs
-        std = np.empty((len(states), 2 * NDIM))
-        std[:, 0] = std[:, 1] = std[:, 3] = pos
-        std[:, 4] = std[:, 5] = std[:, 7] = vel
-        std[:, 2] = self.aspect_pos_std
-        std[:, 6] = self.aspect_vel_std
+    def update_many(self, states: MotionState, measurements) -> MotionState:
+        """Correct every belief with its associated (cx, cy, a, h) measurement,
+        one row of measurements per state.
 
-        new_means = means @ self._motion.T
-        new_covs = self._motion @ covs @ self._motion.T
-        idx = np.arange(2 * NDIM)
-        new_covs[:, idx, idx] += std * std
-        new_covs = (new_covs + new_covs.transpose(0, 2, 1)) / 2.0
-        return [_wrap_owned(new_means[i], new_covs[i]) for i in range(len(states))]
-
-    def project(self, state: MotionState) -> tuple[np.ndarray, np.ndarray]:
-        """Return the belief in measurement space: (4-vector mean, 4x4 cov)."""
-        h = self._noise_height(state.mean[3])
-        std = self._pos_stds(h)
-        mean = state.mean[:NDIM].copy()
-        cov = state.cov[:NDIM, :NDIM] + np.diag(std * std)
-        return mean, cov
-
-    def update(self, state: MotionState, measurement) -> MotionState:
-        """Correct the belief with an associated (cx, cy, a, h) measurement.
-
-        Raises numpy.linalg.LinAlgError if the innovation covariance is
+        Raises numpy.linalg.LinAlgError if an innovation covariance is
         singular, which cannot happen with the positive-definite default noise.
         """
-        z = np.asarray(measurement, dtype=float)
-        if z.shape != (NDIM,):
-            raise ValueError(f"expected a 4-vector measurement, got shape {z.shape}")
-        proj_mean, proj_cov = self.project(state)
-        # gain K = cov H' S^-1, with H selecting the position block
-        b = state.cov[:, :NDIM]
-        gain = np.linalg.solve(proj_cov, b.T).T
-        mean = state.mean + gain @ (z - proj_mean)
-        cov = state.cov - gain @ proj_cov @ gain.T
-        return MotionState(mean, (cov + cov.T) / 2.0)
+        means, covs = states.mean, states.cov
+        zs = np.asarray(measurements, dtype=float).reshape(means.shape[:-1] + (NDIM,))
+        r_std = self._stds(np.maximum(means[..., 3], 1e-3))[..., :NDIM]
 
-    def update_many(self, states: list[MotionState], measurements) -> list[MotionState]:
-        """Batched :meth:`update`, numerically identical to the per-state form."""
-        if not states:
-            return []
-        zs = np.asarray(measurements, dtype=float).reshape(len(states), NDIM)
-        means = np.stack([s.mean for s in states])
-        covs = np.stack([s.cov for s in states])
-        hs = np.maximum(means[:, 3], 1e-3)
-        r_std = np.empty((len(states), NDIM))
-        r_std[:, 0] = r_std[:, 1] = r_std[:, 3] = self.pos_weight * hs
-        r_std[:, 2] = self.aspect_pos_std
+        # innovation covariance S = H cov H' + R, with H selecting the position block
+        proj_cov = covs[..., :NDIM, :NDIM].copy()
+        proj_cov[..., _DIAG[:NDIM], _DIAG[:NDIM]] += r_std * r_std
+        # gain K = cov H' S^-1
+        b = covs[..., :, :NDIM]
+        gain = np.linalg.solve(proj_cov, b.swapaxes(-1, -2)).swapaxes(-1, -2)
+        mean = means + np.einsum("...ij,...j->...i", gain, zs - means[..., :NDIM])
+        cov = covs - gain @ proj_cov @ gain.swapaxes(-1, -2)
+        return MotionState(mean, _symmetric(cov))
 
-        proj_cov = covs[:, :NDIM, :NDIM].copy()
-        idx = np.arange(NDIM)
-        proj_cov[:, idx, idx] += r_std * r_std
-        b = covs[:, :, :NDIM]
-        gain = np.linalg.solve(proj_cov, b.transpose(0, 2, 1)).transpose(0, 2, 1)
-        new_means = means + np.einsum("nij,nj->ni", gain, zs - means[:, :NDIM])
-        new_covs = covs - gain @ proj_cov @ gain.transpose(0, 2, 1)
-        new_covs = (new_covs + new_covs.transpose(0, 2, 1)) / 2.0
-        return [_wrap_owned(new_means[i], new_covs[i]) for i in range(len(states))]
+    predict = predict_many
+    update = update_many

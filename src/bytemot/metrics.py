@@ -89,11 +89,17 @@ class EvalResult:
         return cls(mota, idf1_score, fp, fn, ids, num_gt, idtp, idfp, idfn)
 
 
-def _pred_rows_by_frame(pred: TrackDump) -> dict[int, list[tuple[int, BBox]]]:
-    rows: dict[int, list[tuple[int, BBox]]] = {}
+def _pred_rows_by_frame(pred: TrackDump) -> dict[int, tuple[list[int], list[BBox]]]:
+    """Per frame, the predicted identities in ascending order and their boxes,
+    as two parallel lists."""
+    rows: dict[int, tuple[list[int], list[BBox]]] = {}
     for track_id in sorted(pred):
         for entry in pred[track_id]:
-            rows.setdefault(entry.frame, []).append((track_id, entry.box))
+            frame_rows = rows.get(entry.frame)
+            if frame_rows is None:
+                frame_rows = rows[entry.frame] = ([], [])
+            frame_rows[0].append(track_id)
+            frame_rows[1].append(entry.box)
     return rows
 
 
@@ -136,8 +142,8 @@ def clear_mot(
 
     for frame in sorted(set(gt_frames) | set(pred_frames)):
         gts = gt_frames.get(frame, [])
-        preds = pred_frames.get(frame, [])
-        pred_boxes = {pid: box for pid, box in preds}
+        pids, boxes = pred_frames.get(frame, ((), ()))
+        pred_boxes = dict(zip(pids, boxes))
 
         current: dict[int, int] = {}
         open_gts = []
@@ -148,16 +154,16 @@ def clear_mot(
                 continue
             open_gts.append(g)
         taken = set(current.values())
-        open_preds = [(pid, box) for pid, box in preds if pid not in taken]
+        open_preds = [j for j, pid in enumerate(pids) if pid not in taken]
 
         if open_gts and open_preds:
             sim = iou_matrix_tlbr(
                 np.array([g.box.tlbr() for g in open_gts]),
-                np.array([box.tlbr() for _, box in open_preds]),
+                np.array([boxes[j].tlbr() for j in open_preds]),
             )
             assign = min_cost_assignment(1.0 - sim, min_iou=iou_min)
             for r, c in assign.matches:
-                current[open_gts[r].identity] = open_preds[c][0]
+                current[open_gts[r].identity] = pids[open_preds[c]]
             unmatched_gt = len(assign.unmatched_rows)
             loose_preds = [open_preds[c] for c in assign.unmatched_cols]
         else:
@@ -174,7 +180,7 @@ def clear_mot(
         ignores = ignore_frames.get(frame, [])
         if loose_preds and ignores:
             overlap = iou_matrix_tlbr(
-                np.array([box.tlbr() for _, box in loose_preds]),
+                np.array([boxes[j].tlbr() for j in loose_preds]),
                 np.array([g.box.tlbr() for g in ignores]),
             )
             absorbed = (overlap >= iou_min).any(axis=1)
@@ -205,20 +211,20 @@ def idf1(gt: list[GtEntry], pred: TrackDump, iou_min: float = 0.5) -> IdfResult:
     pred_index = {p: j for j, p in enumerate(pred_ids)}
 
     total_gt = sum(len(v) for v in gt_frames.values())
-    total_pred = sum(len(v) for v in pred_frames.values())
+    total_pred = sum(len(pids) for pids, _ in pred_frames.values())
 
     weights = np.zeros((len(gt_ids), len(pred_ids)))
     for frame, gts in gt_frames.items():
-        preds = pred_frames.get(frame, [])
-        if not preds:
+        pids, boxes = pred_frames.get(frame, ((), ()))
+        if not pids:
             continue
         sim = iou_matrix_tlbr(
             np.array([g.box.tlbr() for g in gts]),
-            np.array([box.tlbr() for _, box in preds]),
+            np.array([box.tlbr() for box in boxes]),
         )
         hit_r, hit_c = np.nonzero(sim >= iou_min)
         for r, c in zip(hit_r, hit_c):
-            weights[gt_index[gts[r].identity], pred_index[preds[c][0]]] += 1
+            weights[gt_index[gts[r].identity], pred_index[pids[c]]] += 1
 
     idtp = 0
     if weights.size:

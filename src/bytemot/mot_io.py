@@ -9,16 +9,16 @@ ground truth frame,id,left,top,w,h[,flag[,class[,visibility]]]
 Files are UTF-8; both LF and CRLF line endings are accepted and LF is
 emitted. Every input line either yields a record or a diagnostic carrying
 its line number: malformed lines (including NaN or infinite box values or
-confidences, and a ground-truth identity repeated within a frame) raise
-ParseError, rows with non-positive box sizes are skipped with a warning, and
-confidences outside [0, 1] are clamped with a warning.
+confidences, a ground-truth visibility that is NaN or outside [0, 1], and a
+ground-truth identity repeated within a frame) raise ParseError, rows with
+non-positive box sizes are skipped with a warning, and confidences outside
+[0, 1] are clamped with a warning.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 from .geometry import BBox, Detection
 from .metrics import GtEntry
@@ -26,7 +26,6 @@ from .postprocess import TrackDump, TrackEntry
 
 __all__ = [
     "ParseError",
-    "SequenceBundle",
     "read_detections",
     "write_detections",
     "read_results",
@@ -45,29 +44,6 @@ COORD_FORMAT = "{:.2f}"
 
 class ParseError(ValueError):
     """Raised for malformed input lines; message names file and line number."""
-
-
-@dataclass
-class SequenceBundle:
-    """One sequence's inputs: detections grouped per frame, optional truth."""
-
-    name: str
-    detections: list[Detection]
-    gt: list[GtEntry] | None = None
-    frame_count: int = 0
-
-    def __post_init__(self):
-        if self.frame_count == 0 and self.detections:
-            self.frame_count = max(d.frame for d in self.detections)
-        elif self.frame_count and self.detections:
-            worst = max(d.frame for d in self.detections)
-            if worst > self.frame_count:
-                raise ValueError(
-                    f"detection frame {worst} exceeds frame_count {self.frame_count}"
-                )
-
-    def detections_by_frame(self) -> dict[int, list[Detection]]:
-        return group_by_frame(self.detections)
 
 
 def group_by_frame(dets: list[Detection]) -> dict[int, list[Detection]]:
@@ -238,7 +214,9 @@ def read_gt(path) -> list[GtEntry]:
             considered = flag == 1 and cls == PEDESTRIAN_CLASS
         else:
             considered = True
-        visibility = float(vals[8]) if len(vals) >= 9 else 1.0
+        visibility = vals[8] if len(vals) >= 9 else 1.0
+        if not 0.0 <= visibility <= 1.0:
+            raise ParseError(f"{path}:{lineno}: visibility must be in [0, 1], got {visibility}")
         entries.append(
             GtEntry(
                 frame=frame,

@@ -15,20 +15,30 @@ dropped. Every live track is advanced one frame by the motion model, then:
 
 Only tracks matched (or born) in the current frame are emitted. Single mode
 skips stage 2 and is the one-stage baseline used for ablations.
+
+Live tracks are a table of columns with one row per track, oldest (lowest id)
+first: the Kalman beliefs as one MotionState batch (mean (N, 8), cov
+(N, 8, 8)), the ids, the first and last matched frames, and each track's last
+matched Detection, whose box and score are what the track emits. A frame
+predicts the whole batch in one call; each stage gathers the rows it matched,
+updates them in one call and scatters them back. Going lost, removal and
+emission are masks over the table, and births are initiated in one batch and
+appended. Whether a track is tracked is not stored: a track goes lost in the
+first frame it is not matched, so the tracked rows are exactly those whose
+last matched frame is the latest frame processed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .assignment import min_cost_assignment
-from .geometry import BBox, Detection, iou_matrix_tlbr, to_cxcyah
+from .geometry import BBox, Detection, iou_matrix_tlbr
 from .kalman import KalmanFilter, MotionState
-from .postprocess import TrackEntry
 
 __all__ = [
     "Mode",
@@ -51,7 +61,6 @@ class Mode(str, Enum):
 class TrackState(Enum):
     TRACKED = "tracked"
     LOST = "lost"
-    REMOVED = "removed"
 
 
 @dataclass(frozen=True)
@@ -90,28 +99,15 @@ class TrackerConfig:
             raise ValueError("init_score_margin must be >= 0")
 
 
-class Track:
-    """Mutable per-identity state owned by one tracker instance."""
+class Track(NamedTuple):
+    """Read-only snapshot of one live track, as returned by ByteTracker.tracks;
+    score is that of its last matched detection."""
 
-    __slots__ = ("id", "state", "motion", "score", "start_frame", "last_frame", "history")
-
-    def __init__(self, track_id: int, frame: int, motion: MotionState, det: Detection):
-        self.id = track_id
-        self.state = TrackState.TRACKED
-        self.motion = motion
-        self.score = det.score
-        self.start_frame = frame
-        self.last_frame = frame
-        self.history: list[TrackEntry] = [TrackEntry(frame, det.box, det.score)]
-
-    def apply_match(self, frame: int, det: Detection, motion: MotionState) -> None:
-        # rebirth reuses the prior motion state (updated, not re-initiated) so
-        # the velocity estimate learned before the object went lost carries over
-        self.motion = motion
-        self.state = TrackState.TRACKED
-        self.score = det.score
-        self.last_frame = frame
-        self.history.append(TrackEntry(frame, det.box, det.score))
+    id: int
+    state: TrackState
+    score: float
+    start_frame: int
+    last_frame: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,59 +155,70 @@ def split_by_score(
     return high, low
 
 
+def _tlbr(mean: np.ndarray) -> np.ndarray:
+    """Corner boxes (N, 4) of the (cx, cy, a, h) part of the beliefs."""
+    cx, cy, a, h = mean[:, 0], mean[:, 1], mean[:, 2], mean[:, 3]
+    w = a * h
+    return np.stack([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0], axis=1)
+
+
+_STATES = (TrackState.LOST, TrackState.TRACKED)  # indexed by "is tracked"
+
+
 class ByteTracker:
     """Online tracker; one instance per sequence, frames fed in order."""
 
     def __init__(self, config: TrackerConfig | None = None, kalman: KalmanFilter | None = None):
         self.config = config if config is not None else TrackerConfig()
         self.kalman = kalman if kalman is not None else KalmanFilter()
-        self._tracks: list[Track] = []
+        self._motion = MotionState(np.empty((0, 8)), np.empty((0, 8, 8)))
+        self._id = np.empty(0, dtype=np.int64)
+        self._start = np.empty(0, dtype=np.int64)
+        self._last = np.empty(0, dtype=np.int64)
+        self._det = np.empty(0, dtype=object)
+        self._next_id = 1
         self._frame = 0
-        self._ids = itertools.count(1)
         self.last_stats: StepStats | None = None
 
     @property
     def tracks(self) -> list[Track]:
-        """Live (tracked or lost) tracks, oldest first."""
-        return list(self._tracks)
-
-    def _predicted_tlbr(self) -> np.ndarray:
-        out = np.empty((len(self._tracks), 4))
-        for i, t in enumerate(self._tracks):
-            cx, cy, a, h = t.motion.mean[:4]
-            w = a * h
-            out[i] = (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
-        return out
+        """Snapshots of the live (tracked or lost) tracks, oldest first."""
+        return list(map(Track._make, zip(
+            self._id.tolist(),
+            map(_STATES.__getitem__, (self._last == self._frame).tolist()),
+            [d.score for d in self._det],
+            self._start.tolist(),
+            self._last.tolist(),
+        )))
 
     def _associate(
         self,
-        track_indices: list[int],
+        rows: np.ndarray,
         predicted: np.ndarray,
         dets: list[Detection],
         min_iou: float,
         frame: int,
-    ) -> tuple[list[int], list[int]]:
-        """Match dets against the given tracks; returns (unmatched track
-        indices, unmatched det indices). Matched tracks are updated in place."""
-        if not track_indices or not dets:
-            return list(track_indices), list(range(len(dets)))
-        sim = iou_matrix_tlbr(
-            predicted[track_indices],
-            np.array([d.box.tlbr() for d in dets]),
-        )
+    ) -> tuple[np.ndarray, list[int]]:
+        """Match dets against the given table rows; returns (unmatched rows,
+        unmatched det indices). Matched rows are updated in place."""
+        if not len(rows) or not dets:
+            return rows, list(range(len(dets)))
+        sim = iou_matrix_tlbr(predicted[rows], np.array([d.box.tlbr() for d in dets]))
         assign = min_cost_assignment(1.0 - sim, min_iou=min_iou)
         if assign.matches:
-            matched = [self._tracks[track_indices[r]] for r, _ in assign.matches]
-            motions = self.kalman.update_many(
-                [t.motion for t in matched],
-                [dets[c].box.cxcyah() for _, c in assign.matches],
+            hit_rows, hit_dets = zip(*assign.matches)
+            hit = rows[list(hit_rows)]
+            matched = [dets[c] for c in hit_dets]
+            # rebirth updates the prior belief (not a new one), so the
+            # velocity learned before the object went lost carries over
+            motion = self.kalman.update_many(
+                self._motion[hit], [d.box.cxcyah() for d in matched]
             )
-            for (_, c), track, motion in zip(assign.matches, matched, motions):
-                track.apply_match(frame, dets[c], motion)
-        return (
-            [track_indices[r] for r in assign.unmatched_rows],
-            list(assign.unmatched_cols),
-        )
+            self._motion.mean[hit] = motion.mean
+            self._motion.cov[hit] = motion.cov
+            self._last[hit] = frame
+            self._det[hit] = matched
+        return rows[assign.unmatched_rows], list(assign.unmatched_cols)
 
     def step(self, frame: int, detections: list[Detection]) -> FrameResult:
         """Run one association round and return the tracks to emit.
@@ -233,7 +240,7 @@ class ByteTracker:
                 )
         gap_lost = gap_removed = 0
         for skipped in range(self._frame + 1, frame):
-            if not self._tracks:
+            if not len(self._id):
                 break
             self._advance(skipped, [])
             gap_lost += self.last_stats.n_lost
@@ -245,6 +252,7 @@ class ByteTracker:
     ) -> FrameResult:
         """One association round on validated input; n_lost and n_removed
         start from the counts carried over a frame gap."""
+        was_tracked = self._last == self._frame
         self._frame = frame
         cfg = self.config
 
@@ -253,71 +261,47 @@ class ByteTracker:
         high, low = split_by_score(dets, cfg)
         n_below = len(dets) - len(high) - len(low)
 
-        motions = self.kalman.predict_many([t.motion for t in self._tracks])
-        for track, motion in zip(self._tracks, motions):
-            track.motion = motion
-        predicted = self._predicted_tlbr()
+        self._motion = self.kalman.predict_many(self._motion)
+        predicted = _tlbr(self._motion.mean)
 
-        remain_tracks, remain_high = self._associate(
-            list(range(len(self._tracks))), predicted, high, cfg.min_iou_first, frame
+        remain, remain_high = self._associate(
+            np.arange(len(self._id)), predicted, high, cfg.min_iou_first, frame
         )
 
         n_second = 0
         n_low_discarded = len(low)
         if cfg.mode is Mode.BYTE and low:
-            candidates = remain_tracks
             if cfg.second_stage_tracked_only:
-                candidates = [
-                    i for i in remain_tracks
-                    if self._tracks[i].state is TrackState.TRACKED
-                ]
-            skipped = [i for i in remain_tracks if i not in candidates]
-            unmatched, unmatched_low = self._associate(
-                candidates, predicted, low, cfg.min_iou_second, frame
+                remain = remain[was_tracked[remain]]
+            _, unmatched_low = self._associate(
+                remain, predicted, low, cfg.min_iou_second, frame
             )
             n_second = len(low) - len(unmatched_low)
             n_low_discarded = len(unmatched_low)
-            remain_tracks = sorted(unmatched + skipped)
 
-        for i in remain_tracks:
-            track = self._tracks[i]
-            if track.state is TrackState.TRACKED:
-                track.state = TrackState.LOST
-                n_lost += 1
+        tracked = self._last == frame
+        n_lost += int(np.count_nonzero(was_tracked & ~tracked))
 
-        survivors = []
-        for track in self._tracks:
-            if (
-                track.state is TrackState.LOST
-                and frame - track.last_frame > cfg.lost_ttl
-            ):
-                track.state = TrackState.REMOVED
-                n_removed += 1
-            else:
-                survivors.append(track)
-        self._tracks = survivors
+        # tracked rows have last == frame, so only lost rows can expire
+        keep = frame - self._last <= cfg.lost_ttl
+        gone = len(keep) - int(np.count_nonzero(keep))
+        if gone:
+            n_removed += gone
+            self._take(keep)
 
-        births = []
-        n_suppressed = 0
         bar = cfg.tau_high + cfg.init_score_margin
-        for c in remain_high:
-            det = high[c]
-            if det.score > bar:
-                births.append(
-                    Track(next(self._ids), frame, self.kalman.initiate(to_cxcyah(det.box)), det)
-                )
-            else:
-                n_suppressed += 1
-        self._tracks.extend(births)
+        born = [high[c] for c in remain_high if high[c].score > bar]
+        if born:
+            self._append(frame, born)
 
+        emit = self._last == frame
+        if not cfg.emit_on_birth:
+            emit &= self._start < frame
+        # the table is in id order, so the outputs are sorted by track id
         outputs = [
-            TrackOutput(t.id, t.history[-1].box, t.score)
-            for t in self._tracks
-            if t.state is TrackState.TRACKED
-            and t.last_frame == frame
-            and (cfg.emit_on_birth or t.start_frame < frame)
+            TrackOutput(track_id, det.box, det.score)
+            for track_id, det in zip(self._id[emit].tolist(), self._det[emit])
         ]
-        outputs.sort(key=lambda o: o.track_id)
 
         self.last_stats = StepStats(
             frame=frame,
@@ -327,10 +311,31 @@ class ByteTracker:
             n_below_floor=n_below,
             n_first_matches=len(high) - len(remain_high),
             n_second_matches=n_second,
-            n_new_tracks=len(births),
-            n_births_suppressed=n_suppressed,
+            n_new_tracks=len(born),
+            n_births_suppressed=len(remain_high) - len(born),
             n_low_discarded=n_low_discarded,
             n_lost=n_lost,
             n_removed=n_removed,
         )
         return FrameResult(frame=frame, outputs=outputs)
+
+    def _take(self, rows: np.ndarray) -> None:
+        self._motion = self._motion[rows]
+        self._id = self._id[rows]
+        self._start = self._start[rows]
+        self._last = self._last[rows]
+        self._det = self._det[rows]
+
+    def _append(self, frame: int, born: list[Detection]) -> None:
+        """Start one track per detection, with consecutive new ids."""
+        n = len(born)
+        motion = self.kalman.initiate([d.box.cxcyah() for d in born])
+        self._motion = MotionState(
+            np.concatenate([self._motion.mean, motion.mean]),
+            np.concatenate([self._motion.cov, motion.cov]),
+        )
+        self._id = np.concatenate([self._id, np.arange(self._next_id, self._next_id + n)])
+        self._next_id += n
+        self._start = np.concatenate([self._start, np.full(n, frame)])
+        self._last = np.concatenate([self._last, np.full(n, frame)])
+        self._det = np.concatenate([self._det, np.array(born, dtype=object)])

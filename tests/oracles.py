@@ -1,13 +1,30 @@
 """Independent reference implementations used by the tests.
 
 Everything here is deliberately naive (enumeration, counting, scalar
-recursions) and shares no code with the library paths it checks.
+recursions, per-object loops) and shares no code with the library paths it
+checks. The reference tracker reuses the library's configuration and result
+types, IoU and assignment, which are checked on their own.
 """
 
+import itertools
+from dataclasses import dataclass
+from enum import Enum
 from itertools import combinations, permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from bytemot.assignment import min_cost_assignment
+from bytemot.geometry import Detection, iou_matrix_tlbr, to_cxcyah
+from bytemot.postprocess import TrackEntry
+from bytemot.tracker import (
+    FrameResult,
+    Mode,
+    StepStats,
+    TrackerConfig,
+    TrackOutput,
+    split_by_score,
+)
 
 
 def dp_assignment(cost, feasible) -> tuple[int, float]:
@@ -147,3 +164,336 @@ def rasterized_iou(a8: tuple[int, int, int, int], b8: tuple[int, int, int, int])
 def linear_interp_scalar(t1: int, v1: float, t2: int, v2: float, t: int) -> float:
     """Per-coordinate linear interpolation, evaluated with plain floats."""
     return v1 + (v2 - v1) * (t - t1) / (t2 - t1)
+
+
+# --- reference motion model and tracker -------------------------------------
+#
+# The per-state Kalman filter and the object-per-track ByteTracker that the
+# batched filter and the track table replaced, kept verbatim (the filter's
+# batched forms run the per-state ones in a loop) as their bit-level
+# references.
+
+
+class RefTrackState(Enum):
+    TRACKED = "tracked"
+    LOST = "lost"
+    REMOVED = "removed"
+
+
+NDIM = 4
+
+
+@dataclass(frozen=True)
+class RefMotionState:
+    """Immutable Gaussian belief over one track's box state.
+
+    mean is an 8-vector, cov an 8x8 symmetric positive-definite matrix. The
+    arrays are copied and marked read-only on construction.
+    """
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+    def __post_init__(self):
+        mean = np.array(self.mean, dtype=float)
+        cov = np.array(self.cov, dtype=float)
+        if mean.shape != (2 * NDIM,) or cov.shape != (2 * NDIM, 2 * NDIM):
+            raise ValueError(
+                f"expected mean (8,) and cov (8, 8), got {mean.shape} and {cov.shape}"
+            )
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
+
+
+class RefKalmanFilter:
+    """Constant-velocity filter with height-scaled noise.
+
+    pos_weight scales position-like stds, vel_weight velocity-like stds, both
+    relative to the current box height. Initiation inflates position stds by
+    2x and velocity stds by 10x. Aspect-ratio components use the constant
+    stds aspect_pos_std / aspect_vel_std instead of height scaling.
+    """
+
+    def __init__(
+        self,
+        pos_weight: float = 1.0 / 20.0,
+        vel_weight: float = 1.0 / 160.0,
+        aspect_pos_std: float = 1e-2,
+        aspect_vel_std: float = 1e-5,
+    ):
+        self.pos_weight = float(pos_weight)
+        self.vel_weight = float(vel_weight)
+        self.aspect_pos_std = float(aspect_pos_std)
+        self.aspect_vel_std = float(aspect_vel_std)
+
+        self._motion = np.eye(2 * NDIM)
+        self._motion[:NDIM, NDIM:] = np.eye(NDIM)
+
+    def _pos_stds(self, h: float, scale: float = 1.0) -> np.ndarray:
+        s = self.pos_weight * h * scale
+        return np.array([s, s, self.aspect_pos_std, s])
+
+    def _vel_stds(self, h: float, scale: float = 1.0) -> np.ndarray:
+        s = self.vel_weight * h * scale
+        return np.array([s, s, self.aspect_vel_std, s])
+
+    @staticmethod
+    def _noise_height(h: float) -> float:
+        # noise scales must stay positive even for degraded predicted states
+        return max(float(h), 1e-3)
+
+    def initiate(self, measurement) -> RefMotionState:
+        """Create a track state from an unassociated (cx, cy, a, h) measurement.
+
+        Velocities start at exactly zero with inflated uncertainty.
+        """
+        m = np.asarray(measurement, dtype=float)
+        if m.shape != (NDIM,):
+            raise ValueError(f"expected a 4-vector measurement, got shape {m.shape}")
+        if m[3] <= 0.0:
+            raise ValueError(f"measurement height must be positive, got {m[3]}")
+        mean = np.concatenate([m, np.zeros(NDIM)])
+        std = np.concatenate([self._pos_stds(m[3], 2.0), self._vel_stds(m[3], 10.0)])
+        return RefMotionState(mean, np.diag(std * std))
+
+    def predict(self, state: RefMotionState) -> RefMotionState:
+        """Advance the belief one frame under the constant-velocity model."""
+        h = self._noise_height(state.mean[3])
+        std = np.concatenate([self._pos_stds(h), self._vel_stds(h)])
+        mean = self._motion @ state.mean
+        cov = self._motion @ state.cov @ self._motion.T + np.diag(std * std)
+        return RefMotionState(mean, (cov + cov.T) / 2.0)
+
+    def project(self, state: RefMotionState) -> tuple[np.ndarray, np.ndarray]:
+        """Return the belief in measurement space: (4-vector mean, 4x4 cov)."""
+        h = self._noise_height(state.mean[3])
+        std = self._pos_stds(h)
+        mean = state.mean[:NDIM].copy()
+        cov = state.cov[:NDIM, :NDIM] + np.diag(std * std)
+        return mean, cov
+
+    def update(self, state: RefMotionState, measurement) -> RefMotionState:
+        """Correct the belief with an associated (cx, cy, a, h) measurement.
+
+        Raises numpy.linalg.LinAlgError if the innovation covariance is
+        singular, which cannot happen with the positive-definite default noise.
+        """
+        z = np.asarray(measurement, dtype=float)
+        if z.shape != (NDIM,):
+            raise ValueError(f"expected a 4-vector measurement, got shape {z.shape}")
+        proj_mean, proj_cov = self.project(state)
+        # gain K = cov H' S^-1, with H selecting the position block
+        b = state.cov[:, :NDIM]
+        gain = np.linalg.solve(proj_cov, b.T).T
+        mean = state.mean + gain @ (z - proj_mean)
+        cov = state.cov - gain @ proj_cov @ gain.T
+        return RefMotionState(mean, (cov + cov.T) / 2.0)
+
+    def predict_many(self, states):
+        return [self.predict(s) for s in states]
+
+    def update_many(self, states, measurements):
+        return [self.update(s, z) for s, z in zip(states, measurements)]
+
+
+class RefTrack:
+    """Mutable per-identity state owned by one tracker instance."""
+
+    __slots__ = ("id", "state", "motion", "score", "start_frame", "last_frame", "history")
+
+    def __init__(self, track_id: int, frame: int, motion: RefMotionState, det: Detection):
+        self.id = track_id
+        self.state = RefTrackState.TRACKED
+        self.motion = motion
+        self.score = det.score
+        self.start_frame = frame
+        self.last_frame = frame
+        self.history: list[TrackEntry] = [TrackEntry(frame, det.box, det.score)]
+
+    def apply_match(self, frame: int, det: Detection, motion: RefMotionState) -> None:
+        # rebirth reuses the prior motion state (updated, not re-initiated) so
+        # the velocity estimate learned before the object went lost carries over
+        self.motion = motion
+        self.state = RefTrackState.TRACKED
+        self.score = det.score
+        self.last_frame = frame
+        self.history.append(TrackEntry(frame, det.box, det.score))
+
+
+class RefByteTracker:
+    """Online tracker; one instance per sequence, frames fed in order."""
+
+    def __init__(self, config: TrackerConfig | None = None, kalman: RefKalmanFilter | None = None):
+        self.config = config if config is not None else TrackerConfig()
+        self.kalman = kalman if kalman is not None else RefKalmanFilter()
+        self._tracks: list[RefTrack] = []
+        self._frame = 0
+        self._ids = itertools.count(1)
+        self.last_stats: StepStats | None = None
+
+    @property
+    def tracks(self) -> list[RefTrack]:
+        """Live (tracked or lost) tracks, oldest first."""
+        return list(self._tracks)
+
+    def _predicted_tlbr(self) -> np.ndarray:
+        out = np.empty((len(self._tracks), 4))
+        for i, t in enumerate(self._tracks):
+            cx, cy, a, h = t.motion.mean[:4]
+            w = a * h
+            out[i] = (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+        return out
+
+    def _associate(
+        self,
+        track_indices: list[int],
+        predicted: np.ndarray,
+        dets: list[Detection],
+        min_iou: float,
+        frame: int,
+    ) -> tuple[list[int], list[int]]:
+        """Match dets against the given tracks; returns (unmatched track
+        indices, unmatched det indices). Matched tracks are updated in place."""
+        if not track_indices or not dets:
+            return list(track_indices), list(range(len(dets)))
+        sim = iou_matrix_tlbr(
+            predicted[track_indices],
+            np.array([d.box.tlbr() for d in dets]),
+        )
+        assign = min_cost_assignment(1.0 - sim, min_iou=min_iou)
+        if assign.matches:
+            matched = [self._tracks[track_indices[r]] for r, _ in assign.matches]
+            motions = self.kalman.update_many(
+                [t.motion for t in matched],
+                [dets[c].box.cxcyah() for _, c in assign.matches],
+            )
+            for (_, c), track, motion in zip(assign.matches, matched, motions):
+                track.apply_match(frame, dets[c], motion)
+        return (
+            [track_indices[r] for r in assign.unmatched_rows],
+            list(assign.unmatched_cols),
+        )
+
+    def step(self, frame: int, detections: list[Detection]) -> FrameResult:
+        """Run one association round and return the tracks to emit.
+
+        The frame index must strictly increase across calls and every
+        detection must carry this frame's index. Frames skipped since the
+        last call are advanced as empty frames while any track is live, so a
+        gap predicts, loses and removes tracks exactly as feeding the empty
+        frames would; their lost and removed counts are added to last_stats.
+        """
+        if frame <= self._frame:
+            raise ValueError(
+                f"frame index must increase, got {frame} after {self._frame}"
+            )
+        for det in detections:
+            if det.frame != frame:
+                raise ValueError(
+                    f"detection frame {det.frame} does not match step frame {frame}"
+                )
+        gap_lost = gap_removed = 0
+        for skipped in range(self._frame + 1, frame):
+            if not self._tracks:
+                break
+            self._advance(skipped, [])
+            gap_lost += self.last_stats.n_lost
+            gap_removed += self.last_stats.n_removed
+        return self._advance(frame, detections, gap_lost, gap_removed)
+
+    def _advance(
+        self, frame: int, detections: list[Detection], n_lost: int = 0, n_removed: int = 0
+    ) -> FrameResult:
+        """One association round on validated input; n_lost and n_removed
+        start from the counts carried over a frame gap."""
+        self._frame = frame
+        cfg = self.config
+
+        # canonical order makes the result independent of caller ordering
+        dets = sorted(detections, key=lambda d: (-d.score, d.box.left, d.box.top))
+        high, low = split_by_score(dets, cfg)
+        n_below = len(dets) - len(high) - len(low)
+
+        motions = self.kalman.predict_many([t.motion for t in self._tracks])
+        for track, motion in zip(self._tracks, motions):
+            track.motion = motion
+        predicted = self._predicted_tlbr()
+
+        remain_tracks, remain_high = self._associate(
+            list(range(len(self._tracks))), predicted, high, cfg.min_iou_first, frame
+        )
+
+        n_second = 0
+        n_low_discarded = len(low)
+        if cfg.mode is Mode.BYTE and low:
+            candidates = remain_tracks
+            if cfg.second_stage_tracked_only:
+                candidates = [
+                    i for i in remain_tracks
+                    if self._tracks[i].state is RefTrackState.TRACKED
+                ]
+            skipped = [i for i in remain_tracks if i not in candidates]
+            unmatched, unmatched_low = self._associate(
+                candidates, predicted, low, cfg.min_iou_second, frame
+            )
+            n_second = len(low) - len(unmatched_low)
+            n_low_discarded = len(unmatched_low)
+            remain_tracks = sorted(unmatched + skipped)
+
+        for i in remain_tracks:
+            track = self._tracks[i]
+            if track.state is RefTrackState.TRACKED:
+                track.state = RefTrackState.LOST
+                n_lost += 1
+
+        survivors = []
+        for track in self._tracks:
+            if (
+                track.state is RefTrackState.LOST
+                and frame - track.last_frame > cfg.lost_ttl
+            ):
+                track.state = RefTrackState.REMOVED
+                n_removed += 1
+            else:
+                survivors.append(track)
+        self._tracks = survivors
+
+        births = []
+        n_suppressed = 0
+        bar = cfg.tau_high + cfg.init_score_margin
+        for c in remain_high:
+            det = high[c]
+            if det.score > bar:
+                births.append(
+                    RefTrack(next(self._ids), frame, self.kalman.initiate(to_cxcyah(det.box)), det)
+                )
+            else:
+                n_suppressed += 1
+        self._tracks.extend(births)
+
+        outputs = [
+            TrackOutput(t.id, t.history[-1].box, t.score)
+            for t in self._tracks
+            if t.state is RefTrackState.TRACKED
+            and t.last_frame == frame
+            and (cfg.emit_on_birth or t.start_frame < frame)
+        ]
+        outputs.sort(key=lambda o: o.track_id)
+
+        self.last_stats = StepStats(
+            frame=frame,
+            n_dets=len(dets),
+            n_high=len(high),
+            n_low=len(low),
+            n_below_floor=n_below,
+            n_first_matches=len(high) - len(remain_high),
+            n_second_matches=n_second,
+            n_new_tracks=len(births),
+            n_births_suppressed=n_suppressed,
+            n_low_discarded=n_low_discarded,
+            n_lost=n_lost,
+            n_removed=n_removed,
+        )
+        return FrameResult(frame=frame, outputs=outputs)

@@ -182,7 +182,8 @@ def test_criterion_4_threshold_robustness(corpus_dir, capsys):
             "--modes", "byte,single",
         ]) == 0
         captured = capsys.readouterr().out
-        rows = list(csv.DictReader(out_csv.open()))
+        with out_csv.open() as fh:
+            rows = list(csv.DictReader(fh))
         byte_mota = {r["tau"]: float(r["mota"]) for r in rows if r["mode"] == "byte"}
         single_mota = {r["tau"]: float(r["mota"]) for r in rows if r["mode"] == "single"}
         assert len(byte_mota) == len(single_mota) == 7

@@ -88,7 +88,8 @@ class TestEval:
         out = capsys.readouterr().out
         assert "MOTA 1.0000" in out
         assert "IDF1 1.0000" in out
-        rows = list(csv.DictReader(csv_path.open()))
+        with csv_path.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert [r["sequence"] for r in rows] == ["seq", "ALL"]
         assert rows[0]["mota"] == "1.000000"
         assert rows[0]["version"] == "1"
@@ -121,7 +122,8 @@ class TestSweep:
             "--gt", str(crossing_dir / "gt.txt"),
             "--taus", "0.6", "--modes", "byte", "--out", str(out_csv),
         ]) == 0
-        rows = list(csv.DictReader(out_csv.open()))
+        with out_csv.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert rows[0]["mode"] == "byte" and rows[0]["tau"] == "0.60"
         assert "spread byte 0.000000" in capsys.readouterr().out
@@ -134,7 +136,8 @@ class TestSweep:
             "--taus", "0.3,0.5,0.7", "--modes", "byte,single",
             "--out", str(out_csv),
         ]) == 0
-        rows = list(csv.DictReader(out_csv.open()))
+        with out_csv.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert [(r["mode"], r["tau"]) for r in rows] == [
             ("byte", "0.30"), ("byte", "0.50"), ("byte", "0.70"),
             ("single", "0.30"), ("single", "0.50"), ("single", "0.70"),

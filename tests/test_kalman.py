@@ -1,12 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bytemot.kalman import KalmanFilter, MotionState
+from oracles import RefKalmanFilter, RefMotionState
+
+REF = RefKalmanFilter()
 
 
 @pytest.fixture
 def kf():
     return KalmanFilter()
+
+
+def stack(states):
+    return MotionState(np.stack([s.mean for s in states]), np.stack([s.cov for s in states]))
+
+
+def ref_state(state):
+    return RefMotionState(state.mean, state.cov)
 
 
 def random_ops_sequence(kf, rng, n_ops):
@@ -146,27 +159,6 @@ class TestUpdate:
         assert abs(s.mean[1] - z[1]) < 1e-3
 
 
-class TestProject:
-    def test_projected_mean_is_position_block(self, kf):
-        m = np.array([10.0, 20.0, 0.5, 40.0])
-        mean, _ = kf.project(kf.initiate(m))
-        assert np.array_equal(mean, m)
-
-    def test_projected_cov_symmetric(self, kf):
-        s = kf.predict(kf.initiate([10, 20, 0.5, 40]))
-        _, cov = kf.project(s)
-        assert np.allclose(cov, cov.T)
-
-    def test_projected_diagonal_adds_measurement_noise(self, kf):
-        s = kf.predict(kf.initiate([10, 20, 0.5, 40]))
-        _, cov = kf.project(s)
-        h = s.mean[3]
-        r_diag = np.array(
-            [kf.pos_weight * h, kf.pos_weight * h, kf.aspect_pos_std, kf.pos_weight * h]
-        ) ** 2
-        assert np.allclose(np.diag(cov), np.diag(s.cov[:4, :4]) + r_diag, atol=1e-12)
-
-
 class TestInvariants:
     def test_symmetry_preserved_across_random_sequences(self, kf):
         rng = np.random.default_rng(99)
@@ -205,36 +197,99 @@ class TestInvariants:
             runs.append((states[-1].mean.tobytes(), states[-1].cov.tobytes()))
         assert runs[0] == runs[1]
 
-    def test_states_are_immutable(self, kf):
-        s = kf.initiate([10, 20, 0.5, 40])
+    def test_operations_leave_inputs_untouched(self, kf):
+        rng = np.random.default_rng(8)
+        states = stack([random_ops_sequence(kf, rng, 4)[-1] for _ in range(5)])
+        zs = states.mean[:, :4] + 1.0
+        before = (states.mean.tobytes(), states.cov.tobytes(), zs.tobytes())
+        kf.predict_many(states)
+        kf.update_many(states, zs)
+        kf.initiate(zs)
+        assert (states.mean.tobytes(), states.cov.tobytes(), zs.tobytes()) == before
+
+    def test_state_holds_its_arrays(self):
+        mean, cov = np.zeros((3, 8)), np.zeros((3, 8, 8))
+        state = MotionState(mean, cov)
+        assert state.mean is mean and state.cov is cov
+        assert len(state) == 3
+        assert state[[2, 0]].mean.shape == (2, 8)
+        with pytest.raises(TypeError):
+            len(MotionState(mean[0], cov[0]))
         with pytest.raises(ValueError):
-            s.mean[0] = 99.0
-        source = np.array([10.0, 20.0, 0.5, 40.0, 0, 0, 0, 0])
-        state = MotionState(source, np.eye(8))
-        source[0] = -1.0
-        assert state.mean[0] == 10.0
+            MotionState(mean, cov[:, :4])
 
 
 class TestBatchedForms:
+    """The batched operations against the per-state filter they replaced
+    (tests/oracles.py), byte for byte."""
+
     def test_predict_many_matches_predict(self, kf):
         rng = np.random.default_rng(5)
         states = [random_ops_sequence(kf, rng, 4)[-1] for _ in range(17)]
-        batch = kf.predict_many(states)
-        for got, state in zip(batch, states):
-            want = kf.predict(state)
-            assert got.mean.tobytes() == want.mean.tobytes()
-            assert got.cov.tobytes() == want.cov.tobytes()
+        batch = kf.predict_many(stack(states))
+        assert len(batch) == 17
+        for i, state in enumerate(states):
+            want = REF.predict(ref_state(state))
+            assert batch.mean[i].tobytes() == want.mean.tobytes()
+            assert batch.cov[i].tobytes() == want.cov.tobytes()
 
     def test_update_many_matches_update(self, kf):
         rng = np.random.default_rng(6)
         states = [random_ops_sequence(kf, rng, 4)[-1] for _ in range(17)]
         zs = [s.mean[:4] + rng.normal(0, 1, 4) * [2, 2, 0.02, 2] for s in states]
-        batch = kf.update_many(states, zs)
-        for got, state, z in zip(batch, states, zs):
-            want = kf.update(state, z)
-            assert got.mean.tobytes() == want.mean.tobytes()
-            assert got.cov.tobytes() == want.cov.tobytes()
+        batch = kf.update_many(stack(states), zs)
+        assert len(batch) == 17
+        for i, (state, z) in enumerate(zip(states, zs)):
+            want = REF.update(ref_state(state), z)
+            assert batch.mean[i].tobytes() == want.mean.tobytes()
+            assert batch.cov[i].tobytes() == want.cov.tobytes()
+
+    def test_initiate_batch_matches_initiate(self, kf):
+        ms = np.random.default_rng(9).uniform([0, 0, 0.3, 10], [800, 600, 2.5, 120], (6, 4))
+        batch = kf.initiate(ms)
+        assert len(batch) == 6
+        for i, m in enumerate(ms):
+            want = REF.initiate(m)
+            assert batch.mean[i].tobytes() == want.mean.tobytes()
+            assert batch.cov[i].tobytes() == want.cov.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-500, 1500), st.floats(-500, 1500),
+                st.floats(0.1, 4.0), st.floats(1.0, 400.0),
+            ),
+            min_size=1, max_size=12,
+        ),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 2**32 - 1)), max_size=8),
+    )
+    def test_random_sequences_match_reference(self, boxes, ops):
+        # every row of the batch follows the per-state filter bit for bit,
+        # single states too, whatever mix of predicts and updates
+        kf = KalmanFilter()
+        batch = kf.initiate(boxes)
+        refs = [REF.initiate(b) for b in boxes]
+        for is_update, seed in ops:
+            if is_update:
+                zs = batch.mean[:, :4] + np.random.default_rng(seed).normal(0, 2, (len(boxes), 4))
+                zs[:, 3] = np.abs(zs[:, 3]) + 1.0
+                batch = kf.update_many(batch, zs)
+                refs = [REF.update(r, z) for r, z in zip(refs, zs)]
+                single = kf.update(kf.initiate(boxes[0]), zs[0])
+                want = REF.update(REF.initiate(boxes[0]), zs[0])
+            else:
+                batch = kf.predict_many(batch)
+                refs = [REF.predict(r) for r in refs]
+                single = kf.predict(kf.initiate(boxes[0]))
+                want = REF.predict(REF.initiate(boxes[0]))
+            assert batch.mean.tobytes() == np.stack([r.mean for r in refs]).tobytes()
+            assert batch.cov.tobytes() == np.stack([r.cov for r in refs]).tobytes()
+            assert single.mean.tobytes() == want.mean.tobytes()
+            assert single.cov.tobytes() == want.cov.tobytes()
 
     def test_empty_batches(self, kf):
-        assert kf.predict_many([]) == []
-        assert kf.update_many([], []) == []
+        empty = MotionState(np.empty((0, 8)), np.empty((0, 8, 8)))
+        assert len(kf.predict_many(empty)) == 0
+        assert len(kf.update_many(empty, np.empty((0, 4)))) == 0
+        assert len(kf.initiate(np.empty((0, 4)))) == 0

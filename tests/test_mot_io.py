@@ -5,7 +5,6 @@ import pytest
 from bytemot.geometry import BBox, Detection
 from bytemot.mot_io import (
     ParseError,
-    SequenceBundle,
     dump_from_rows,
     group_by_frame,
     read_detections,
@@ -200,6 +199,18 @@ class TestReadGt:
         with pytest.raises(ParseError, match=r"gt\.txt:4:.*identity 2.*frame 1.*line 1"):
             read_gt(p)
 
+    @pytest.mark.parametrize("visibility", ["nan", "7.5", "-0.25"])
+    def test_visibility_outside_unit_interval_errors(self, tmp_path, visibility):
+        p = tmp_path / "gt.txt"
+        p.write_text(f"1,2,10,20,30,40,1,1,0.5\n2,2,10,20,30,40,1,1,{visibility}\n")
+        with pytest.raises(ParseError, match=r"gt\.txt:2:.*visibility"):
+            read_gt(p)
+
+    def test_visibility_bounds_accepted(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_text("1,2,10,20,30,40,1,1,0\n1,3,50,20,30,40,1,1,1\n")
+        assert [e.visibility for e in read_gt(p)] == [0.0, 1.0]
+
     def test_six_column_minimal(self, tmp_path):
         p = tmp_path / "gt.txt"
         p.write_text("1,2,10,20,30,40\n")
@@ -227,12 +238,6 @@ class TestHelpers:
         d3 = Detection(1, BBox(5, 5, 1, 1), 0.6)
         grouped = group_by_frame([d1, d2, d3])
         assert grouped == {1: [d1, d3], 2: [d2]}
-
-    def test_bundle_frame_count(self):
-        dets = [Detection(f, BBox(0, 0, 1, 1), 0.5) for f in (1, 7, 3)]
-        bundle = SequenceBundle(name="seq", detections=dets)
-        assert bundle.frame_count == 7
-        assert set(bundle.detections_by_frame()) == {1, 3, 7}
 
     def test_write_detections_round_trip(self, tmp_path):
         p = tmp_path / "det.txt"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bytemot.geometry import BBox, Detection
 from bytemot.tracker import (
@@ -9,6 +11,7 @@ from bytemot.tracker import (
     TrackState,
     split_by_score,
 )
+from oracles import RefByteTracker
 
 
 def det(frame, l, t, w, h, score):
@@ -288,16 +291,17 @@ class TestInvariants:
         for seed in (2, 3, 4):
             assert run(np.random.default_rng(seed)) == baseline
 
-    def test_track_history_records_matches(self):
+    def test_track_records_first_and_last_matched_frame(self):
         stream = [
             [det(1, 10, 10, 20, 40, 0.9)],
             [det(2, 12, 10, 20, 40, 0.7)],
+            [],
         ]
         tracker, _ = run_stream(stream)
-        track = tracker.tracks[0]
-        assert [e.frame for e in track.history] == [1, 2]
-        assert track.start_frame == 1 and track.last_frame == 2
-        assert not any(e.interpolated for e in track.history)
+        (track,) = tracker.tracks
+        assert (track.id, track.start_frame, track.last_frame) == (1, 1, 2)
+        assert track.state is TrackState.LOST
+        assert track.score == 0.7
 
 
 class TestSecondStageTrackedOnly:
@@ -313,3 +317,77 @@ class TestSecondStageTrackedOnly:
         assert results[2].outputs == []
         _, results = run_stream(stream, second_stage_tracked_only=False)
         assert [o.track_id for o in results[2].outputs] == [1]
+
+
+@st.composite
+def detection_streams(draw):
+    """A random detection stream as (frame, detections) pairs with gaps and
+    empty frames, plus tracker options covering every lifecycle switch."""
+    cfg = dict(
+        mode=draw(st.sampled_from(["byte", "single"])),
+        second_stage_tracked_only=draw(st.booleans()),
+        emit_on_birth=draw(st.booleans()),
+        init_score_margin=draw(st.sampled_from([0.0, 0.0, 0.1, 0.3])),
+        lost_ttl=draw(st.sampled_from([0, 1, 2, 5, 30])),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_objects = draw(st.integers(0, 8))
+    n_frames = draw(st.integers(1, 30))
+    miss = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    clutter = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    pos = rng.uniform(0, 300, (n_objects, 2))
+    vel = rng.uniform(-6, 6, (n_objects, 2))
+    size = rng.uniform(10, 60, (n_objects, 2))
+    scores = [0.05, 0.1, 0.3, 0.5, 0.6, 0.65, 0.7, 0.9, 1.0]
+    frame, stream = 0, []
+    for _ in range(n_frames):
+        frame += int(rng.choice([1, 1, 1, 2, 4]))
+        dets = []
+        if rng.random() > 0.15:  # otherwise an empty frame
+            for (x, y), (vx, vy), (w, h) in zip(pos, vel, size):
+                if rng.random() >= miss:
+                    jitter = rng.normal(0, 2, 2)
+                    dets.append(Detection(frame, BBox(
+                        x + vx * frame + jitter[0], y + vy * frame + jitter[1], w, h,
+                    ), float(rng.choice(scores))))
+            for _ in range(rng.poisson(clutter)):
+                l, t = rng.uniform(0, 400, 2)
+                dets.append(Detection(frame, BBox(l, t, *rng.uniform(5, 60, 2)),
+                                      float(rng.choice(scores))))
+        stream.append((frame, dets))
+    return cfg, stream
+
+
+class TestTableEquivalence:
+    """The track table against the object-per-track tracker it replaced
+    (tests/oracles.py): same results, statistics, snapshots and Kalman
+    beliefs, bit for bit, on every frame."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(detection_streams())
+    def test_matches_object_tracker(self, case):
+        cfg, stream = case
+        tracker = ByteTracker(TrackerConfig(**cfg))
+        ref = RefByteTracker(TrackerConfig(**cfg))
+        for frame, dets in stream:
+            assert tracker.step(frame, dets) == ref.step(frame, dets)
+            assert tracker.last_stats == ref.last_stats
+            assert [
+                (t.id, t.state.value, t.score, t.start_frame, t.last_frame)
+                for t in tracker.tracks
+            ] == [
+                (t.id, t.state.value, t.score, t.start_frame, t.last_frame)
+                for t in ref.tracks
+            ]
+            live = ref.tracks
+            mean = np.stack([t.motion.mean for t in live]) if live else np.empty((0, 8))
+            cov = np.stack([t.motion.cov for t in live]) if live else np.empty((0, 8, 8))
+            assert tracker._motion.mean.tobytes() == mean.tobytes()
+            assert tracker._motion.cov.tobytes() == cov.tobytes()
+
+    def test_emitted_boxes_are_the_detections_own(self):
+        d1 = det(1, 10, 10, 20, 40, 0.9)
+        d2 = det(2, 12, 10, 20, 40, 0.7)
+        tracker, results = run_stream([[d1], [d2]])
+        assert results[0].outputs[0].box is d1.box
+        assert results[1].outputs[0].box is d2.box
