@@ -136,11 +136,19 @@ def iou_matrix_tlbr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float).reshape(-1, 4)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[0]), dtype=float)
-    al, at, ar, ab = a.T[:, :, None]
-    bl, bt, br, bb = b.T[:, None, :]
-    # per axis max(min(right) - max(left), 0) on (N, M) planes, in place; each
-    # cell sees the operations of the (N, M, 2) formula in the same order, so
-    # the matrix is bit-identical to it
+    return _iou_cells(a.T[:, :, None], b.T[:, None, :])
+
+
+def _iou_cells(a, b) -> np.ndarray:
+    """IoU of boxes given as (left, top, right, bottom) edge arrays that
+    broadcast against each other: (N, 1) against (1, M) edges give
+    iou_matrix_tlbr's matrix, equal-length rows give row-wise pairs. Cells
+    whose union is not positive (or is NaN) are 0."""
+    al, at, ar, ab = a
+    bl, bt, br, bb = b
+    # per axis max(min(right) - max(left), 0) on the broadcast planes, in
+    # place; each cell sees the operations of the (N, M, 2) formula in the
+    # same order, so the matrix is bit-identical to it
     iw = np.minimum(ar, br)
     iw -= np.maximum(al, bl)
     np.maximum(iw, 0.0, out=iw)

@@ -6,16 +6,47 @@ exact min-cost assignment on 1 - IoU, and a ground-truth object whose matched
 predicted identity differs from its most recent one counts as an ID switch.
 IDF1 is global: ground-truth and predicted identities are matched once over
 the whole sequence to maximize the number of overlapping box-frames.
+
+Both read a columnar index of the sequence instead of per-frame objects. One
+pass over the ground truth and one over the predictions take their frames,
+identities and track ranks as columns and group the rows by frame with a
+stable sort (ground truth in input order within a frame, predictions in
+ascending track id). The frames are then read in blocks of about
+_BLOCK_ROWS rows: a block's box edges become float64 columns, and its
+same-frame (ground truth, prediction) pairs of positive IoU are found by
+gating on the x axis (see _Block.pairs) and scored row-wise with the cell
+arithmetic of geometry.iou_matrix_tlbr, so each IoU equals that matrix's
+cell bit for bit. The CLEAR frame loop and the IDF1 weight count read that
+table; a pair missing from it has IoU 0. Each frame's CLEAR assignment still gets the
+dense matrix the per-frame formulation builds (open ground truth in input
+order by open predictions in ascending id, 0.0 where boxes do not overlap),
+so every count, match and tie-break is unchanged. The three threshold tests
+stay separate: IoU >= iou_min for a carried-over match, 1 - IoU <=
+1 - iou_min inside min_cost_assignment, and IoU >= iou_min for an IDF1 hit.
+At iou_min 0 every same-frame pair is an IDF1 hit, so idf1 then lists every
+same-frame pair, disjoint ones included.
+
+iou_min must satisfy 0 <= iou_min < 1 (NaN is rejected); clear_mot, idf1 and
+evaluate check it on entry. Frames and ground-truth identities are indexed as
+int64; values outside that range raise ValueError. Memory: only the index
+columns (a few words per row) span the sequence; box edges, sorted copies,
+candidate windows and pair arrays exist for one block, and candidates are
+scored in batches of _PAIR_CHUNK. evaluate builds the index once and shares
+it with its clear_mot and idf1 calls; each of them reads the boxes block by
+block on its own.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from .assignment import min_cost_assignment, solve
-from .geometry import BBox, iou, iou_matrix_tlbr
+from .geometry import BBox, _iou_cells, iou_matrix_tlbr
 from .postprocess import TrackDump
 
 __all__ = [
@@ -89,26 +120,221 @@ class EvalResult:
         return cls(mota, idf1_score, fp, fn, ids, num_gt, idtp, idfp, idfn)
 
 
-def _pred_rows_by_frame(pred: TrackDump) -> dict[int, tuple[list[int], list[BBox]]]:
-    """Per frame, the predicted identities in ascending order and their boxes,
-    as two parallel lists."""
-    rows: dict[int, tuple[list[int], list[BBox]]] = {}
-    for track_id in sorted(pred):
-        for entry in pred[track_id]:
-            frame_rows = rows.get(entry.frame)
-            if frame_rows is None:
-                frame_rows = rows[entry.frame] = ([], [])
-            frame_rows[0].append(track_id)
-            frame_rows[1].append(entry.box)
-    return rows
+# Ground-truth plus predicted rows per frame block, and candidate pairs per
+# IoU batch.
+_BLOCK_ROWS = 1 << 12
+_PAIR_CHUNK = 1 << 13
+
+_FRAME = attrgetter("frame")
+_IDENTITY = attrgetter("identity")
+_CONSIDERED = attrgetter("considered")
+_BOX = attrgetter("box")
+_TLWH = tuple(attrgetter(name) for name in ("left", "top", "width", "height"))
 
 
-def _gt_by_frame(gt: list[GtEntry], considered: bool) -> dict[int, list[GtEntry]]:
-    rows: dict[int, list[GtEntry]] = {}
-    for entry in gt:
-        if entry.considered == considered:
-            rows.setdefault(entry.frame, []).append(entry)
-    return rows
+def _check_iou_min(iou_min) -> None:
+    if not 0.0 <= iou_min < 1.0:
+        raise ValueError(f"iou_min must be in [0, 1), got {iou_min}")
+
+
+def _int_column(items: list, field, what: str) -> np.ndarray:
+    """The field of every item as an int64 column."""
+    try:
+        return np.fromiter(map(field, items), np.int64, len(items))
+    except OverflowError:
+        raise ValueError(f"{what} outside the int64 range") from None
+
+
+def _edges(items) -> np.ndarray:
+    """(4, n) array of the left, top, right and bottom edges of the items'
+    boxes; right and bottom are summed as BBox sums them."""
+    boxes = list(map(_BOX, items))
+    n = len(boxes)
+    out = np.empty((4, n))
+    for k, value in enumerate(_TLWH):
+        out[k] = np.fromiter(map(value, boxes), float, n)
+    out[2] += out[0]
+    out[3] += out[1]
+    return out
+
+
+def _grouped(frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Index taking the masked rows grouped by frame, input order kept within
+    a frame."""
+    rows = np.flatnonzero(mask)
+    return rows[np.argsort(frame[rows], kind="stable")]
+
+
+def _frame_slicer(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct frames of a sorted frame column and the number of rows
+    before each (then the total): enough to slice the column by frame."""
+    first = np.ones(len(frame), dtype=bool)
+    np.not_equal(frame[1:], frame[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    return frame[first], np.append(first, len(frame))
+
+
+def _take(items: list, rows: np.ndarray) -> list:
+    """The items at the index rows."""
+    return list(map(items.__getitem__, rows.tolist()))
+
+
+def _lex(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """(major, minor) pairs as complex numbers, which numpy orders
+    lexicographically in sorts, searches and maxima."""
+    out = np.empty(len(major), dtype=complex)
+    out.real = major
+    out.imag = minor
+    return out
+
+
+class _Index:
+    """Where each frame's rows of one sequence are.
+
+    Considered ground truth is grouped by frame, input order kept within a
+    frame (``gt_rows`` indexes the input list), with its identities as a
+    column. Predictions are flattened in (track id, entry) order
+    (``pred_entries``) and grouped by frame the same way (``pred_rows``),
+    with the rank of their track id among the sorted ids (``pred_ids``) as a
+    column. Ignore regions (entries not considered) keep their box edges.
+    ``frames`` lists every frame with considered ground truth or predictions,
+    and the ``*_start``/``*_end`` lists slice each side's rows per frame. The
+    other box edges are read a block of frames at a time (``blocks``).
+    """
+
+    def __init__(self, gt: list[GtEntry], pred: TrackDump):
+        self.gt = gt
+        self.pred = pred
+        frame = _int_column(gt, _FRAME, "ground-truth frame")
+        considered = np.fromiter(map(_CONSIDERED, gt), bool, len(gt))
+        self.gt_rows = _grouped(frame, considered)
+        self.gt_id = _int_column(gt, _IDENTITY, "ground-truth identity")[self.gt_rows]
+        self.gt_ids = np.unique(self.gt_id)
+        ign_rows = _grouped(frame, ~considered)
+        slicers = {
+            "gt": _frame_slicer(frame[self.gt_rows]),
+            "ign": _frame_slicer(frame[ign_rows]),
+        }
+        self.ign_box = _edges(_take(gt, ign_rows))
+        del frame, considered
+
+        self.pred_ids = sorted(pred)
+        tracks = [pred[track_id] for track_id in self.pred_ids]
+        self.pred_entries = list(chain.from_iterable(tracks))
+        frame = _int_column(self.pred_entries, _FRAME, "predicted frame")
+        self.pred_rows = np.argsort(frame, kind="stable")
+        frame.sort()
+        slicers["pred"] = _frame_slicer(frame)
+        del frame
+        ranks = np.repeat(np.arange(len(tracks), dtype=np.int32), list(map(len, tracks)))
+        self.pred_rank = ranks[self.pred_rows]
+        del ranks
+
+        frames = np.union1d(slicers["gt"][0], slicers["pred"][0])
+        self.frames = frames.tolist()
+        for side, (distinct, before) in slicers.items():
+            for bound, side_of in (("start", "left"), ("end", "right")):
+                rows = before[np.searchsorted(distinct, frames, side_of)]
+                setattr(self, f"{side}_{bound}", rows.tolist())
+
+    def blocks(self):
+        """The frames in consecutive blocks of about _BLOCK_ROWS rows (a frame
+        is never split), each with its box edges read."""
+        rows_end = np.add(self.gt_end, self.pred_end)
+        f0 = 0
+        while f0 < len(self.frames):
+            budget = self.gt_start[f0] + self.pred_start[f0] + _BLOCK_ROWS
+            f1 = max(f0 + 1, int(np.searchsorted(rows_end, budget, "right")))
+            yield _Block(self, f0, f1)
+            f0 = f1
+
+
+class _Block:
+    """Frames [f0, f1) of an index with box edges as (4, n) columns.
+
+    Ground-truth rows follow the index; ``g0`` is the index row of the first.
+    Predictions are ordered by left edge within a frame: ``pred_rank`` holds
+    their track ranks and ``pred_seq`` their order in the index, which is
+    ascending track id within a frame.
+    """
+
+    def __init__(self, index: _Index, f0: int, f1: int):
+        self.f0, self.f1 = f0, f1
+        self.g0, g1 = index.gt_start[f0], index.gt_end[f1 - 1]
+        p0, p1 = index.pred_start[f0], index.pred_end[f1 - 1]
+        frames = index.frames[f0:f1]
+        self.gt_frame = np.repeat(
+            frames, np.subtract(index.gt_end[f0:f1], index.gt_start[f0:f1]))
+        self.gt_box = _edges(_take(index.gt, index.gt_rows[self.g0:g1]))
+        frame = np.repeat(
+            frames, np.subtract(index.pred_end[f0:f1], index.pred_start[f0:f1]))
+        box = _edges(_take(index.pred_entries, index.pred_rows[p0:p1]))
+        self.pred_seq = np.lexsort((box[0], frame))
+        self.pred_frame = frame[self.pred_seq]
+        self.pred_box = box[:, self.pred_seq]
+        self.pred_rank = index.pred_rank[p0:p1][self.pred_seq]
+
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The block's pairs of positive IoU as one table of columns."""
+        parts = list(self.pairs(keep_all=False))
+        if not parts:
+            return np.empty(0, np.intp), np.empty(0, np.int32), np.empty(0)
+        return tuple(np.concatenate(column) for column in zip(*parts))
+
+    def pairs(self, keep_all: bool):
+        """The block's same-frame pairs as (ground-truth index row, predicted
+        track rank, IoU) columns, in batches of at most _PAIR_CHUNK
+        candidates.
+
+        With keep_all every same-frame pair is listed; otherwise exactly the
+        pairs of positive IoU. Those need overlapping x and y extents, so the
+        candidates of a ground-truth box are gated on the x axis first: the
+        predictions of its frame whose left edge lies before its right edge,
+        from the first whose running maximum right edge (in left-edge order)
+        passes its left edge. The remaining edge tests run before the IoU.
+        """
+        gb, pb = self.gt_box, self.pred_box
+        if not gb.shape[1] or not pb.shape[1]:
+            return
+        if keep_all:
+            lo = np.searchsorted(self.pred_frame, self.gt_frame, "left")
+            hi = np.searchsorted(self.pred_frame, self.gt_frame, "right")
+        else:
+            reach = np.maximum.accumulate(_lex(self.pred_frame, pb[2]))
+            lo = np.searchsorted(reach, _lex(self.gt_frame, gb[0]), "right")
+            hi = np.searchsorted(_lex(self.pred_frame, pb[0]), _lex(self.gt_frame, gb[2]), "left")
+        counts = np.maximum(hi - lo, 0)
+        ends = np.cumsum(counts)
+        a = 0
+        while a < len(counts):
+            base = int(ends[a - 1]) if a else 0
+            b = max(a + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, "right")))
+            total = int(ends[b - 1]) - base
+            if total:
+                n = counts[a:b]
+                g_rows = np.repeat(np.arange(a, b), n)
+                p_rows = np.arange(total) + np.repeat(lo[a:b] - (ends[a:b] - n - base), n)
+                if not keep_all:
+                    near = ((pb[2, p_rows] > gb[0, g_rows]) & (pb[3, p_rows] > gb[1, g_rows])
+                            & (pb[1, p_rows] < gb[3, g_rows]))
+                    g_rows, p_rows = g_rows[near], p_rows[near]
+                ious = _iou_cells(gb[:, g_rows], pb[:, p_rows])
+                if not keep_all:
+                    keep = ious > 0.0
+                    g_rows, p_rows, ious = g_rows[keep], p_rows[keep], ious[keep]
+                yield self.g0 + g_rows, self.pred_rank[p_rows], ious
+            a = b
+
+
+# The index evaluate builds once for its clear_mot and idf1 calls.
+_shared_index: ContextVar[_Index | None] = ContextVar("_shared_index", default=None)
+
+
+def _index(gt: list[GtEntry], pred: TrackDump) -> _Index:
+    shared = _shared_index.get()
+    if shared is not None and shared.gt is gt and shared.pred is pred:
+        return shared
+    return _Index(gt, pred)
 
 
 def clear_mot(
@@ -130,68 +356,91 @@ def clear_mot(
     non-considered ground-truth box (IoU >= iou_min) are dropped rather than
     counted as FP, the benchmark convention for distractor regions.
     """
-    gt_frames = _gt_by_frame(gt, considered=True)
-    ignore_frames = _gt_by_frame(gt, considered=False) if ignore_unconsidered else {}
-    pred_frames = _pred_rows_by_frame(pred)
+    _check_iou_min(iou_min)
+    index = _index(gt, pred)
+    pred_ids = index.pred_ids
+    n_pred = len(pred_ids)
 
     fp = fn = ids = 0
-    num_gt = sum(len(v) for v in gt_frames.values())
+    # gt identity -> rank of the matched predicted id
     prev_matches: dict[int, int] = {}
     last_pred: dict[int, int] = {}
     trace: dict[int, list[tuple[int, int]]] = {}
 
-    for frame in sorted(set(gt_frames) | set(pred_frames)):
-        gts = gt_frames.get(frame, [])
-        pids, boxes = pred_frames.get(frame, ((), ()))
-        pred_boxes = dict(zip(pids, boxes))
+    for block in index.blocks():
+        g_rows, p_ranks, ious = block.table()
+        # (gt row * n_pred + pred rank) -> IoU, for the block's positive pairs
+        overlap = dict(zip((g_rows * n_pred + p_ranks).tolist(), ious.tolist()))
+        g0, p0 = block.g0, index.pred_start[block.f0]
+        gids = index.gt_id[g0:index.gt_end[block.f1 - 1]].tolist()
+        ranks = block.pred_rank.tolist()
+        seqs = block.pred_seq.tolist()
 
-        current: dict[int, int] = {}
-        open_gts = []
-        for g in gts:
-            pid = prev_matches.get(g.identity)
-            if pid is not None and pid in pred_boxes and iou(g.box, pred_boxes[pid]) >= iou_min:
-                current[g.identity] = pid
-                continue
-            open_gts.append(g)
-        taken = set(current.values())
-        open_preds = [j for j, pid in enumerate(pids) if pid not in taken]
+        for f in range(block.f0, block.f1):
+            ga, gb = index.gt_start[f] - g0, index.gt_end[f] - g0
+            pa, pb = index.pred_start[f] - p0, index.pred_end[f] - p0
 
-        if open_gts and open_preds:
-            sim = iou_matrix_tlbr(
-                np.array([g.box.tlbr() for g in open_gts]),
-                np.array([boxes[j].tlbr() for j in open_preds]),
-            )
-            assign = min_cost_assignment(1.0 - sim, min_iou=iou_min)
-            for r, c in assign.matches:
-                current[open_gts[r].identity] = pids[open_preds[c]]
-            unmatched_gt = len(assign.unmatched_rows)
-            loose_preds = [open_preds[c] for c in assign.unmatched_cols]
-        else:
-            unmatched_gt = len(open_gts)
-            loose_preds = open_preds
+            current: dict[int, int] = {}
+            open_gts = []
+            for r in range(ga, gb):
+                gid = gids[r]
+                j = prev_matches.get(gid)
+                if j is not None:
+                    # a pair missing from the table has IoU 0
+                    s = overlap.get((g0 + r) * n_pred + j, 0.0)
+                    if s >= iou_min and (s > 0.0 or j in ranks[pa:pb]):
+                        current[gid] = j
+                        continue
+                open_gts.append(r)
+            taken = set(current.values())
+            if len(taken) < pb - pa:
+                open_preds = [c for c in range(pa, pb) if ranks[c] not in taken]
+            else:
+                open_preds = []
 
-        for gid, pid in current.items():
-            before = last_pred.get(gid)
-            if before is not None and before != pid:
-                ids += 1
-            last_pred[gid] = pid
+            if open_gts and open_preds:
+                # columns in ascending id, as the index lists predictions
+                open_preds.sort(key=seqs.__getitem__)
+                cols = [ranks[c] for c in open_preds]
+                sim = np.array([
+                    [overlap.get(key + j, 0.0) for j in cols]
+                    for key in [(g0 + r) * n_pred for r in open_gts]
+                ])
+                assign = min_cost_assignment(1.0 - sim, min_iou=iou_min)
+                assigned = [gids[open_gts[r]] for r, _ in assign.matches]
+                for gid, (_, c) in zip(assigned, assign.matches):
+                    current[gid] = cols[c]
+                # a carried-over match repeats the object's last match, so
+                # only assigned ones can switch identity
+                for gid in assigned:
+                    j = current[gid]
+                    before = last_pred.get(gid)
+                    if before is not None and before != j:
+                        ids += 1
+                    last_pred[gid] = j
+                unmatched_gt = len(assign.unmatched_rows)
+                loose_preds = [open_preds[c] for c in assign.unmatched_cols]
+            else:
+                unmatched_gt = len(open_gts)
+                loose_preds = open_preds
 
-        fn += unmatched_gt
-        ignores = ignore_frames.get(frame, [])
-        if loose_preds and ignores:
-            overlap = iou_matrix_tlbr(
-                np.array([boxes[j].tlbr() for j in loose_preds]),
-                np.array([g.box.tlbr() for g in ignores]),
-            )
-            absorbed = (overlap >= iou_min).any(axis=1)
-            fp += int((~absorbed).sum())
-        else:
-            fp += len(loose_preds)
+            fn += unmatched_gt
+            ia, ib = index.ign_start[f], index.ign_end[f]
+            if loose_preds and ignore_unconsidered and ia < ib:
+                overlap_ign = iou_matrix_tlbr(
+                    block.pred_box[:, loose_preds].T, index.ign_box[:, ia:ib].T
+                )
+                absorbed = (overlap_ign >= iou_min).any(axis=1)
+                fp += int((~absorbed).sum())
+            else:
+                fp += len(loose_preds)
 
-        trace[frame] = sorted(current.items())
-        prev_matches = current
+            trace[index.frames[f]] = [(gid, pred_ids[j]) for gid, j in sorted(current.items())]
+            prev_matches = current
 
-    return ClearResult(fp=fp, fn=fn, ids=ids, num_gt=num_gt, matches_by_frame=trace)
+    return ClearResult(
+        fp=fp, fn=fn, ids=ids, num_gt=len(index.gt_id), matches_by_frame=trace
+    )
 
 
 def idf1(gt: list[GtEntry], pred: TrackDump, iou_min: float = 0.5) -> IdfResult:
@@ -202,36 +451,24 @@ def idf1(gt: list[GtEntry], pred: TrackDump, iou_min: float = 0.5) -> IdfResult:
     matching maximizing total weight gives IDTP, and the remaining box-frames
     on either side are IDFN / IDFP.
     """
-    gt_frames = _gt_by_frame(gt, considered=True)
-    pred_frames = _pred_rows_by_frame(pred)
-
-    gt_ids = sorted({g.identity for rows in gt_frames.values() for g in rows})
-    pred_ids = sorted(pred.keys())
-    gt_index = {g: i for i, g in enumerate(gt_ids)}
-    pred_index = {p: j for j, p in enumerate(pred_ids)}
-
-    total_gt = sum(len(v) for v in gt_frames.values())
-    total_pred = sum(len(pids) for pids, _ in pred_frames.values())
-
-    weights = np.zeros((len(gt_ids), len(pred_ids)))
-    for frame, gts in gt_frames.items():
-        pids, boxes = pred_frames.get(frame, ((), ()))
-        if not pids:
-            continue
-        sim = iou_matrix_tlbr(
-            np.array([g.box.tlbr() for g in gts]),
-            np.array([box.tlbr() for box in boxes]),
-        )
-        hit_r, hit_c = np.nonzero(sim >= iou_min)
-        for r, c in zip(hit_r, hit_c):
-            weights[gt_index[gts[r].identity], pred_index[pids[c]]] += 1
+    _check_iou_min(iou_min)
+    index = _index(gt, pred)
+    weights = np.zeros((len(index.gt_ids), len(index.pred_ids)))
+    # at iou_min 0 every same-frame pair counts, disjoint ones included
+    keep_all = iou_min == 0.0
+    for block in index.blocks():
+        for g_rows, p_ranks, ious in block.pairs(keep_all):
+            hit = ious >= iou_min
+            gt_rank = np.searchsorted(index.gt_ids, index.gt_id[g_rows[hit]])
+            cells, counts = np.unique(gt_rank * weights.shape[1] + p_ranks[hit], return_counts=True)
+            weights.reshape(-1)[cells] += counts
 
     idtp = 0
     if weights.size:
         assign = solve(-weights)
         idtp = int(sum(weights[r, c] for r, c in assign.matches))
-    idfp = total_pred - idtp
-    idfn = total_gt - idtp
+    idfp = len(index.pred_entries) - idtp
+    idfn = len(index.gt_id) - idtp
     denom = 2 * idtp + idfp + idfn
     score = None if denom == 0 else 2.0 * idtp / denom
     return IdfResult(idf1=score, idtp=idtp, idfp=idfp, idfn=idfn)
@@ -243,9 +480,16 @@ def evaluate(
     iou_min: float = 0.5,
     ignore_unconsidered: bool = True,
 ) -> EvalResult:
-    """CLEAR counts and IDF1 for one sequence, combined into an EvalResult."""
-    clear = clear_mot(gt, pred, iou_min=iou_min, ignore_unconsidered=ignore_unconsidered)
-    ident = idf1(gt, pred, iou_min=iou_min)
+    """CLEAR counts and IDF1 for one sequence, combined into an EvalResult;
+    both read one index of the sequence."""
+    _check_iou_min(iou_min)
+    index = _Index(gt, pred)
+    token = _shared_index.set(index)
+    try:
+        clear = clear_mot(gt, pred, iou_min=iou_min, ignore_unconsidered=ignore_unconsidered)
+        ident = idf1(gt, pred, iou_min=iou_min)
+    finally:
+        _shared_index.reset(token)
     return EvalResult.from_counts(
         clear.fp, clear.fn, clear.ids, clear.num_gt, ident.idtp, ident.idfp, ident.idfn
     )

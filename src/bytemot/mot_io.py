@@ -139,19 +139,33 @@ def write_detections(path, dets: list[Detection]) -> None:
 
 
 def dump_from_rows(rows: list[tuple[int, int, BBox, float]]) -> TrackDump:
-    """Build a TrackDump from (frame, id, box, score) rows, sorted per id."""
+    """Build a TrackDump from (frame, id, box, score) rows, sorted per id.
+
+    Rows are appended in one pass. Rows that already arrive in frame order per
+    track, as run_tracker and write_results produce them, need nothing more;
+    only a track whose frames did not strictly increase is sorted and checked
+    for a frame listed twice (the first such track in first-seen order raises,
+    naming its smallest repeated frame).
+    """
     dump: TrackDump = {}
+    unordered = set()
     for frame, track_id, box, score in rows:
-        dump.setdefault(track_id, []).append(TrackEntry(frame, box, score))
-    for track_id, entries in dump.items():
+        entry = TrackEntry(frame, box, score)
+        entries = dump.get(track_id)
+        if entries is None:
+            dump[track_id] = [entry]
+        else:
+            if frame <= entries[-1].frame:
+                unordered.add(track_id)
+            entries.append(entry)
+    for track_id in (t for t in dump if t in unordered):
+        entries = dump[track_id]
         entries.sort(key=lambda e: e.frame)
-        seen = set()
-        for entry in entries:
-            if entry.frame in seen:
+        for prev, entry in zip(entries, entries[1:]):
+            if entry.frame == prev.frame:
                 raise ParseError(
                     f"track {track_id} has duplicate entries for frame {entry.frame}"
                 )
-            seen.add(entry.frame)
     return dump
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -89,14 +90,16 @@ class TrackerConfig:
             raise ValueError(
                 f"need 0 <= tau_low < tau_high <= 1, got {self.tau_low}, {self.tau_high}"
             )
+        if isinstance(self.lost_ttl, bool) or not isinstance(self.lost_ttl, Integral):
+            raise ValueError(f"lost_ttl must be an integer, got {self.lost_ttl!r}")
         if self.lost_ttl < 0:
             raise ValueError(f"lost_ttl must be >= 0, got {self.lost_ttl}")
         for name in ("min_iou_first", "min_iou_second"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {v}")
-        if self.init_score_margin < 0.0:
-            raise ValueError("init_score_margin must be >= 0")
+        if not self.init_score_margin >= 0.0:
+            raise ValueError(f"init_score_margin must be >= 0, got {self.init_score_margin}")
 
 
 class Track(NamedTuple):

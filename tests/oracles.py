@@ -14,9 +14,11 @@ from itertools import combinations, permutations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from bytemot.assignment import min_cost_assignment
-from bytemot.geometry import Detection, iou_matrix_tlbr, to_cxcyah
-from bytemot.postprocess import TrackEntry
+from bytemot.assignment import min_cost_assignment, solve
+from bytemot.geometry import BBox, Detection, iou, iou_matrix_tlbr, to_cxcyah
+from bytemot.metrics import ClearResult, GtEntry, IdfResult
+from bytemot.mot_io import ParseError
+from bytemot.postprocess import TrackDump, TrackEntry
 from bytemot.tracker import (
     FrameResult,
     Mode,
@@ -497,3 +499,184 @@ class RefByteTracker:
             n_removed=n_removed,
         )
         return FrameResult(frame=frame, outputs=outputs)
+
+
+# --- reference evaluation ----------------------------------------------------
+#
+# CLEAR and IDF1 as they were before evaluation moved to the columnar index:
+# per-object per-frame dictionaries, one dense IoU matrix per frame and the
+# scalar IoU for carried-over matches. Kept verbatim (only the two public
+# functions are renamed) as the bit-level references of metrics.clear_mot and
+# metrics.idf1.
+
+
+def _pred_rows_by_frame(pred: TrackDump) -> dict[int, tuple[list[int], list[BBox]]]:
+    """Per frame, the predicted identities in ascending order and their boxes,
+    as two parallel lists."""
+    rows: dict[int, tuple[list[int], list[BBox]]] = {}
+    for track_id in sorted(pred):
+        for entry in pred[track_id]:
+            frame_rows = rows.get(entry.frame)
+            if frame_rows is None:
+                frame_rows = rows[entry.frame] = ([], [])
+            frame_rows[0].append(track_id)
+            frame_rows[1].append(entry.box)
+    return rows
+
+
+def _gt_by_frame(gt: list[GtEntry], considered: bool) -> dict[int, list[GtEntry]]:
+    rows: dict[int, list[GtEntry]] = {}
+    for entry in gt:
+        if entry.considered == considered:
+            rows.setdefault(entry.frame, []).append(entry)
+    return rows
+
+
+def ref_clear_mot(
+    gt: list[GtEntry],
+    pred: TrackDump,
+    iou_min: float = 0.5,
+    ignore_unconsidered: bool = True,
+) -> ClearResult:
+    """Frame-by-frame CLEAR matching producing FP / FN / ID-switch counts.
+
+    Per frame: (a) carry over the previous frame's (gt, pred) matches still
+    overlapping with IoU >= iou_min, (b) assign remaining pairs by min-cost
+    matching on 1 - IoU restricted to IoU >= iou_min, (c) count unmatched
+    predictions as FP and unmatched considered ground truth as FN, (d) count
+    an ID switch whenever a ground-truth object's matched prediction differs
+    from its most recent previously matched one.
+
+    With ignore_unconsidered on, unmatched predictions overlapping a
+    non-considered ground-truth box (IoU >= iou_min) are dropped rather than
+    counted as FP, the benchmark convention for distractor regions.
+    """
+    gt_frames = _gt_by_frame(gt, considered=True)
+    ignore_frames = _gt_by_frame(gt, considered=False) if ignore_unconsidered else {}
+    pred_frames = _pred_rows_by_frame(pred)
+
+    fp = fn = ids = 0
+    num_gt = sum(len(v) for v in gt_frames.values())
+    prev_matches: dict[int, int] = {}
+    last_pred: dict[int, int] = {}
+    trace: dict[int, list[tuple[int, int]]] = {}
+
+    for frame in sorted(set(gt_frames) | set(pred_frames)):
+        gts = gt_frames.get(frame, [])
+        pids, boxes = pred_frames.get(frame, ((), ()))
+        pred_boxes = dict(zip(pids, boxes))
+
+        current: dict[int, int] = {}
+        open_gts = []
+        for g in gts:
+            pid = prev_matches.get(g.identity)
+            if pid is not None and pid in pred_boxes and iou(g.box, pred_boxes[pid]) >= iou_min:
+                current[g.identity] = pid
+                continue
+            open_gts.append(g)
+        taken = set(current.values())
+        open_preds = [j for j, pid in enumerate(pids) if pid not in taken]
+
+        if open_gts and open_preds:
+            sim = iou_matrix_tlbr(
+                np.array([g.box.tlbr() for g in open_gts]),
+                np.array([boxes[j].tlbr() for j in open_preds]),
+            )
+            assign = min_cost_assignment(1.0 - sim, min_iou=iou_min)
+            for r, c in assign.matches:
+                current[open_gts[r].identity] = pids[open_preds[c]]
+            unmatched_gt = len(assign.unmatched_rows)
+            loose_preds = [open_preds[c] for c in assign.unmatched_cols]
+        else:
+            unmatched_gt = len(open_gts)
+            loose_preds = open_preds
+
+        for gid, pid in current.items():
+            before = last_pred.get(gid)
+            if before is not None and before != pid:
+                ids += 1
+            last_pred[gid] = pid
+
+        fn += unmatched_gt
+        ignores = ignore_frames.get(frame, [])
+        if loose_preds and ignores:
+            overlap = iou_matrix_tlbr(
+                np.array([boxes[j].tlbr() for j in loose_preds]),
+                np.array([g.box.tlbr() for g in ignores]),
+            )
+            absorbed = (overlap >= iou_min).any(axis=1)
+            fp += int((~absorbed).sum())
+        else:
+            fp += len(loose_preds)
+
+        trace[frame] = sorted(current.items())
+        prev_matches = current
+
+    return ClearResult(fp=fp, fn=fn, ids=ids, num_gt=num_gt, matches_by_frame=trace)
+
+
+def ref_idf1(gt: list[GtEntry], pred: TrackDump, iou_min: float = 0.5) -> IdfResult:
+    """Identity-F1 via a single global matching of identities.
+
+    Edge weight between a ground-truth identity and a predicted identity is
+    the number of frames where their boxes overlap with IoU >= iou_min; the
+    matching maximizing total weight gives IDTP, and the remaining box-frames
+    on either side are IDFN / IDFP.
+    """
+    gt_frames = _gt_by_frame(gt, considered=True)
+    pred_frames = _pred_rows_by_frame(pred)
+
+    gt_ids = sorted({g.identity for rows in gt_frames.values() for g in rows})
+    pred_ids = sorted(pred.keys())
+    gt_index = {g: i for i, g in enumerate(gt_ids)}
+    pred_index = {p: j for j, p in enumerate(pred_ids)}
+
+    total_gt = sum(len(v) for v in gt_frames.values())
+    total_pred = sum(len(pids) for pids, _ in pred_frames.values())
+
+    weights = np.zeros((len(gt_ids), len(pred_ids)))
+    for frame, gts in gt_frames.items():
+        pids, boxes = pred_frames.get(frame, ((), ()))
+        if not pids:
+            continue
+        sim = iou_matrix_tlbr(
+            np.array([g.box.tlbr() for g in gts]),
+            np.array([box.tlbr() for box in boxes]),
+        )
+        hit_r, hit_c = np.nonzero(sim >= iou_min)
+        for r, c in zip(hit_r, hit_c):
+            weights[gt_index[gts[r].identity], pred_index[pids[c]]] += 1
+
+    idtp = 0
+    if weights.size:
+        assign = solve(-weights)
+        idtp = int(sum(weights[r, c] for r, c in assign.matches))
+    idfp = total_pred - idtp
+    idfn = total_gt - idtp
+    denom = 2 * idtp + idfp + idfn
+    score = None if denom == 0 else 2.0 * idtp / denom
+    return IdfResult(idf1=score, idtp=idtp, idfp=idfp, idfn=idfn)
+
+
+# --- reference result rows ---------------------------------------------------
+#
+# dump_from_rows as it was before it became linear for rows in frame order:
+# every track sorted and scanned for repeated frames. Kept verbatim (renamed)
+# as its reference.
+
+
+def ref_dump_from_rows(rows: list[tuple[int, int, BBox, float]]) -> TrackDump:
+    """Build a TrackDump from (frame, id, box, score) rows, sorted per id."""
+    dump: TrackDump = {}
+    for frame, track_id, box, score in rows:
+        dump.setdefault(track_id, []).append(TrackEntry(frame, box, score))
+    for track_id, entries in dump.items():
+        entries.sort(key=lambda e: e.frame)
+        seen = set()
+        for entry in entries:
+            if entry.frame in seen:
+                raise ParseError(
+                    f"track {track_id} has duplicate entries for frame {entry.frame}"
+                )
+            seen.add(entry.frame)
+    return dump

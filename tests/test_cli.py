@@ -94,6 +94,22 @@ class TestEval:
         assert rows[0]["mota"] == "1.000000"
         assert rows[0]["version"] == "1"
 
+    def test_iou_min_out_of_range_fails(self, crossing_dir, tmp_path, capsys):
+        res = tmp_path / "res.txt"
+        main(["track", str(crossing_dir / "det.txt"), str(res)])
+        capsys.readouterr()
+        assert main(["eval", str(crossing_dir / "gt.txt"), str(res), "--iou-min", "1.5"]) == 1
+        assert "iou_min" in capsys.readouterr().err
+
+    def test_frame_outside_int64_fails(self, crossing_dir, tmp_path, capsys):
+        res = tmp_path / "res.txt"
+        main(["track", str(crossing_dir / "det.txt"), str(res)])
+        gt = tmp_path / "gt.txt"
+        gt.write_text((crossing_dir / "gt.txt").read_text() + "1e19,1,10,20,30,40,1,1,1\n")
+        capsys.readouterr()
+        assert main(["eval", str(gt), str(res)]) == 1
+        assert "int64" in capsys.readouterr().err
+
     def test_tracked_crossing_scores_perfectly(self, crossing_dir, tmp_path, capsys):
         res = tmp_path / "res.txt"
         main(["track", str(crossing_dir / "det.txt"), str(res)])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bytemot.geometry import (
     BBox,
     Detection,
+    _iou_cells,
     from_cxcyah,
     iou,
     iou_matrix,
@@ -215,3 +216,43 @@ class TestIouMatrixEquivalence:
         assert got[0, 0] == 1.0 and got[1, 1] == 1.0
         assert got[0, 1] == 0.0 and got[1, 0] == 0.0
         assert not got[2:].any() and not got[:, 2:].any()
+
+
+# Boxes with corners on a coarse grid meet at shared edges, identical corners
+# and exact IoU fractions; the float ones add arbitrary rounding.
+grid_boxes = st.builds(
+    BBox,
+    left=st.integers(-4, 4).map(float),
+    top=st.integers(-4, 4).map(float),
+    width=st.integers(1, 6).map(float),
+    height=st.integers(1, 6).map(float),
+)
+
+
+class TestIouCells:
+    """The row-wise pair IoU metrics uses must equal iou_matrix_tlbr's cells bit for bit,
+    and scalar iou for valid boxes."""
+
+    @settings(max_examples=300)
+    @given(tlbr_pairs())
+    def test_bit_identical_to_matrix_cells(self, pair):
+        a, b = pair
+        rows = np.repeat(np.arange(len(a)), len(b))
+        cols = np.tile(np.arange(len(b)), len(a))
+        with np.errstate(all="ignore"):
+            got = _iou_cells(a[rows].T, b[cols].T)
+            want = iou_matrix_tlbr(a, b).reshape(-1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.one_of(grid_boxes, boxes), st.one_of(grid_boxes, boxes)),
+                    min_size=1, max_size=8))
+    def test_equals_scalar_iou(self, pairs):
+        a = np.array([p.tlbr() for p, _ in pairs])
+        b = np.array([q.tlbr() for _, q in pairs])
+        got = _iou_cells(a.T, b.T)
+        want = np.array([iou(p, q) for p, q in pairs])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_empty(self):
+        assert _iou_cells(np.zeros((4, 0)), np.zeros((4, 0))).shape == (0,)

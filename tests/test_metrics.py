@@ -1,6 +1,12 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bytemot import metrics
 from bytemot.geometry import BBox
 from bytemot.metrics import (
     EvalResult,
@@ -11,7 +17,7 @@ from bytemot.metrics import (
     idf1,
 )
 from bytemot.postprocess import TrackEntry
-from oracles import max_weight_matching_enum
+from oracles import max_weight_matching_enum, ref_clear_mot, ref_idf1
 
 
 def gt_box(frame, identity, l=0.0, t=0.0, w=10.0, h=10.0, considered=True):
@@ -218,3 +224,118 @@ class TestEvalResult:
             assert r.mota <= 1.0
             if fp == fn == ids == 0:
                 assert r.mota == 1.0
+
+
+class TestIouMinValidation:
+    def test_empty_inputs_still_checked(self):
+        with pytest.raises(ValueError, match="iou_min"):
+            evaluate([], {}, iou_min=-1)
+
+    def test_checked_before_any_assignment(self):
+        gt = [gt_box(1, 1)]
+        pred = {1: [pred_entry(1, l=2.0)]}
+        with pytest.raises(ValueError, match="iou_min must be in"):
+            evaluate(gt, pred, iou_min=-1)
+
+    def test_nan_rejected(self):
+        gt = [gt_box(1, 1)]
+        pred = {1: [pred_entry(1)]}
+        for fn in (idf1, clear_mot, evaluate):
+            with pytest.raises(ValueError, match="iou_min"):
+                fn(gt, pred, iou_min=math.nan)
+
+    @pytest.mark.parametrize("value", [1.0, 1.5, -1e-9])
+    def test_out_of_range_rejected(self, value):
+        for fn in (idf1, clear_mot, evaluate):
+            with pytest.raises(ValueError, match="iou_min"):
+                fn([], {}, iou_min=value)
+
+    def test_zero_accepted(self):
+        gt = [gt_box(1, 1)]
+        pred = {1: [pred_entry(1, l=50.0)]}
+        result = evaluate(gt, pred, iou_min=0.0)
+        # at iou_min 0 every same-frame pair is a match, disjoint ones included
+        assert (result.fp, result.fn, result.idtp) == (0, 0, 1)
+
+
+# Boxes on a coarse grid make exact-threshold IoUs (1/2, 1/3, ...) and equal
+# assignment costs common.
+grid_box = st.builds(
+    BBox,
+    left=st.integers(0, 8).map(float),
+    top=st.integers(0, 4).map(float),
+    width=st.sampled_from([2.0, 4.0, 6.0]),
+    height=st.sampled_from([2.0, 4.0, 6.0]),
+)
+iou_mins = st.one_of(
+    st.just(0.0), st.just(0.5), st.just(1.0 / 3.0),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+@st.composite
+def sequences(draw):
+    """Ground truth with ignore regions, identities that come and go, and
+    predictions whose frames may lie outside the ground truth's."""
+    n_frames = draw(st.integers(1, 7))
+    gt = []
+    for frame in range(1, n_frames + 1):
+        for identity in draw(st.lists(st.sampled_from([1, 2, 3, 4, 10**12]),
+                                      unique=True, max_size=4)):
+            considered = draw(st.sampled_from([True, True, True, False]))
+            gt.append(GtEntry(frame, identity, draw(grid_box), considered=considered))
+    gt = draw(st.permutations(gt))
+    pred = {}
+    for track_id in draw(st.lists(st.sampled_from([-3, 0, 1, 2, 5, 10**12]),
+                                  unique=True, max_size=5)):
+        frames = sorted(draw(st.sets(st.integers(1, n_frames + 1), max_size=n_frames)))
+        pred[track_id] = [TrackEntry(f, draw(grid_box), 0.9) for f in frames]
+    return gt, pred
+
+
+class TestColumnarEquivalence:
+    """clear_mot, idf1 and evaluate must equal the per-object reference
+    implementations exactly, matches_by_frame included, whatever the block
+    and batch sizes."""
+
+    @staticmethod
+    def check(gt, pred, iou_min, ignore):
+        clear = clear_mot(gt, pred, iou_min=iou_min, ignore_unconsidered=ignore)
+        assert clear == ref_clear_mot(gt, pred, iou_min=iou_min, ignore_unconsidered=ignore)
+        ident = idf1(gt, pred, iou_min=iou_min)
+        assert ident == ref_idf1(gt, pred, iou_min=iou_min)
+        assert evaluate(gt, pred, iou_min=iou_min, ignore_unconsidered=ignore) == (
+            EvalResult.from_counts(clear.fp, clear.fn, clear.ids, clear.num_gt,
+                                   ident.idtp, ident.idfp, ident.idfn))
+
+    @settings(max_examples=300, deadline=None)
+    @given(sequences(), iou_mins, st.booleans())
+    def test_equals_reference(self, seq, iou_min, ignore):
+        self.check(*seq, iou_min, ignore)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sequences(), iou_mins, st.booleans(), st.integers(1, 6), st.integers(1, 4))
+    def test_equals_reference_in_small_blocks(self, seq, iou_min, ignore, rows, chunk):
+        with mock.patch.object(metrics, "_BLOCK_ROWS", rows), \
+                mock.patch.object(metrics, "_PAIR_CHUNK", chunk):
+            self.check(*seq, iou_min, ignore)
+
+
+class TestIntegerRange:
+    """Frames and identities are indexed as int64 columns; larger ones are a
+    ValueError, not an OverflowError."""
+
+    @pytest.mark.parametrize("fn", [clear_mot, idf1, evaluate])
+    def test_huge_ground_truth_frame(self, fn):
+        with pytest.raises(ValueError, match="ground-truth frame"):
+            fn([gt_box(10**19, 1)], {1: [pred_entry(1)]})
+
+    @pytest.mark.parametrize("fn", [clear_mot, idf1, evaluate])
+    def test_huge_ground_truth_identity(self, fn):
+        with pytest.raises(ValueError, match="ground-truth identity"):
+            fn([gt_box(1, -(10**19))], {1: [pred_entry(1)]})
+
+    @pytest.mark.parametrize("fn", [clear_mot, idf1, evaluate])
+    def test_huge_predicted_frame(self, fn):
+        with pytest.raises(ValueError, match="predicted frame"):
+            fn([gt_box(1, 1)], {1: [pred_entry(10**19)]})

@@ -1,6 +1,8 @@
 import logging
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bytemot.geometry import BBox, Detection
 from bytemot.mot_io import (
@@ -16,6 +18,7 @@ from bytemot.mot_io import (
 )
 from bytemot.metrics import GtEntry
 from bytemot.postprocess import TrackEntry
+from oracles import ref_dump_from_rows
 
 
 class TestReadDetections:
@@ -254,3 +257,32 @@ class TestHelpers:
         rows = [(2, 1, BBox(0, 0, 1, 1), 0.5), (1, 1, BBox(0, 0, 1, 1), 0.6)]
         dump = dump_from_rows(rows)
         assert [e.frame for e in dump[1]] == [1, 2]
+
+
+# (frame, id) rows; small ranges make repeated frames and out-of-order
+# arrivals common, a frame-sorted draw makes the in-order case common
+result_rows = st.lists(
+    st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(0, 3)), max_size=14
+).map(lambda rows: [(f, t, BBox(x, 0, 1, 1), 0.5) for f, t, x in rows])
+
+
+class TestDumpFromRows:
+    @staticmethod
+    def outcome(build, rows):
+        try:
+            return list(build(rows).items())
+        except ParseError as exc:
+            return str(exc)
+
+    @given(result_rows, st.booleans())
+    def test_equals_reference(self, rows, in_frame_order):
+        if in_frame_order:
+            rows = sorted(rows, key=lambda r: r[0])
+        assert self.outcome(dump_from_rows, rows) == self.outcome(ref_dump_from_rows, rows)
+
+    def test_first_track_smallest_frame_reported(self):
+        b = BBox(0, 0, 1, 1)
+        rows = [(5, 2, b, 0.5), (3, 1, b, 0.5), (5, 2, b, 0.5), (3, 1, b, 0.5),
+                (1, 2, b, 0.5), (1, 2, b, 0.5)]
+        with pytest.raises(ParseError, match="track 2 has duplicate entries for frame 1"):
+            dump_from_rows(rows)

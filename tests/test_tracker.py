@@ -37,6 +37,19 @@ class TestConfig:
     def test_mode_accepts_strings(self):
         assert TrackerConfig(mode="single").mode is Mode.SINGLE
 
+    def test_nan_init_score_margin_rejected(self):
+        # NaN passes a `< 0` check, and the tracker would then start no track
+        with pytest.raises(ValueError, match="init_score_margin"):
+            TrackerConfig(init_score_margin=float("nan"))
+
+    def test_fractional_lost_ttl_rejected(self):
+        with pytest.raises(ValueError, match="lost_ttl"):
+            TrackerConfig(lost_ttl=1.5)
+
+    def test_bool_lost_ttl_rejected(self):
+        with pytest.raises(ValueError, match="lost_ttl"):
+            TrackerConfig(lost_ttl=True)
+
 
 class TestSplitByScore:
     def test_boundaries(self):
