@@ -7,7 +7,7 @@ deterministic synthetic-scenario generator.
 """
 
 from .assignment import Assignment, min_cost_assignment, solve
-from .geometry import BBox, Detection, from_cxcyah, iou, iou_matrix, to_cxcyah
+from .geometry import BBox, Detection, iou
 from .kalman import KalmanFilter, MotionState
 from .metrics import EvalResult, GtEntry, aggregate, clear_mot, evaluate, idf1
 from .mot_io import (
@@ -57,20 +57,17 @@ __all__ = [
     "crossing_preset",
     "evaluate",
     "filter_public",
-    "from_cxcyah",
     "generate",
     "group_by_frame",
     "idf1",
     "interpolate",
     "iou",
-    "iou_matrix",
     "min_cost_assignment",
     "read_detections",
     "read_gt",
     "read_results",
     "solve",
     "split_by_score",
-    "to_cxcyah",
     "write_detections",
     "write_gt",
     "write_results",

@@ -43,9 +43,6 @@ class Assignment:
     unmatched_rows: list[int] = field(default_factory=list)
     unmatched_cols: list[int] = field(default_factory=list)
 
-    def total_cost(self, cost: np.ndarray) -> float:
-        return float(sum(cost[r, c] for r, c in self.matches))
-
 
 def _empty(n_rows: int, n_cols: int) -> Assignment:
     return Assignment([], list(range(n_rows)), list(range(n_cols)))

@@ -80,17 +80,6 @@ def write_manifest(path, entries: dict) -> None:
             fh.write(f"{key}={value}\n")
 
 
-def read_manifest(path) -> dict[str, str]:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and "=" in line:
-                key, _, value = line.partition("=")
-                out[key] = value
-    return out
-
-
 def _cmd_track(args) -> int:
     total_start = time.perf_counter()
     read_start = time.perf_counter()

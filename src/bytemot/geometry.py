@@ -4,18 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from numbers import Integral
 
 import numpy as np
 
-__all__ = [
-    "BBox",
-    "Detection",
-    "iou",
-    "iou_matrix",
-    "iou_matrix_tlbr",
-    "to_cxcyah",
-    "from_cxcyah",
-]
+__all__ = ["BBox", "Detection", "iou", "iou_matrix_tlbr"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,11 +44,6 @@ class BBox:
     def from_tlbr(cls, left: float, top: float, right: float, bottom: float) -> "BBox":
         return cls(left, top, right - left, bottom - top)
 
-    @classmethod
-    def from_cxcyah(cls, cx: float, cy: float, aspect: float, height: float) -> "BBox":
-        width = aspect * height
-        return cls(cx - width / 2.0, cy - height / 2.0, width, height)
-
     @property
     def right(self) -> float:
         return self.left + self.width
@@ -63,10 +51,6 @@ class BBox:
     @property
     def bottom(self) -> float:
         return self.top + self.height
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
 
     def tlwh(self) -> tuple[float, float, float, float]:
         return (self.left, self.top, self.width, self.height)
@@ -85,14 +69,18 @@ class BBox:
 
 @dataclass(frozen=True, slots=True)
 class Detection:
-    """One detector output: a scored box on a given frame (frames are 1-based)."""
+    """One detector output: a scored box on a given frame (frames are 1-based
+    integers; numpy integers are accepted, bools are not)."""
 
     frame: int
     box: BBox
     score: float
 
     def __post_init__(self):
-        if self.frame < 1:
+        frame = self.frame
+        if type(frame) is not int and (isinstance(frame, bool) or not isinstance(frame, Integral)):
+            raise ValueError(f"frame index must be an integer, got {frame!r}")
+        if frame < 1:
             raise ValueError(f"frame index must be >= 1, got {self.frame}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
@@ -116,13 +104,6 @@ def iou(a: BBox, b: BBox) -> float:
     area_a = (ar - a.left) * (ab - a.top)
     area_b = (br - b.left) * (bb - b.top)
     return inter / (area_a + area_b - inter)
-
-
-def as_tlbr_array(boxes) -> np.ndarray:
-    """Stack boxes into an (N, 4) tlbr array; empty input yields (0, 4)."""
-    if len(boxes) == 0:
-        return np.zeros((0, 4), dtype=float)
-    return np.array([b.tlbr() for b in boxes], dtype=float)
 
 
 def iou_matrix_tlbr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,20 +143,3 @@ def _iou_cells(a, b) -> np.ndarray:
     union -= inter
     positive = union > 0.0
     return np.divide(inter, union, out=np.zeros_like(union), where=positive)
-
-
-def iou_matrix(tracks, dets) -> np.ndarray:
-    """IoU similarity matrix with one row per track box and one column per
-    detection box. Either list may be empty."""
-    return iou_matrix_tlbr(as_tlbr_array(tracks), as_tlbr_array(dets))
-
-
-def to_cxcyah(box: BBox) -> np.ndarray:
-    """Measurement vector (center-x, center-y, aspect w/h, height) for one box."""
-    return np.array(box.cxcyah(), dtype=float)
-
-
-def from_cxcyah(vec) -> BBox:
-    """Inverse of :func:`to_cxcyah`; exact round trip for valid boxes."""
-    cx, cy, aspect, height = (float(v) for v in vec)
-    return BBox.from_cxcyah(cx, cy, aspect, height)

@@ -6,14 +6,17 @@ frame. Process and measurement noise are diagonal with standard deviations
 proportional to the box height (position-like components) except for the
 dimensionless aspect ratio, which uses small constant stds.
 
-There is one code path. A MotionState is a batch of N beliefs, mean (N, 8) and
-cov (N, 8, 8), and ``initiate``, ``predict_many`` and ``update_many`` compute
-every row with the same numpy operations, so a row's result does not depend on
-the other rows of its batch. A single belief (mean (8,), cov (8, 8)) runs
-through the same code; ``predict`` and ``update`` are the names for that use.
-The operations never write to the state they are given and return fresh
-arrays that the caller owns: the tracker keeps them as its track table and
-scatters updated rows back into it.
+Each component moves only with its own velocity and all noise is diagonal,
+so the 8x8 covariance is four independent 2x2 (component, velocity) blocks
+with exact zeros elsewhere. A belief keeps only the blocks, as cov rows p_xx,
+p_xv and p_vv with one column per axis. The elementwise formulas below are
+the 8x8 ones with the zero terms dropped and every sum taken in the same
+order, so they give the same bytes.
+
+A batch of beliefs and a single one run through the same code (``predict``
+and ``update`` are the names for single use), and a row's result does not
+depend on the other rows of its batch. The operations never write to the
+state they are given and return fresh arrays that the caller owns.
 """
 
 from __future__ import annotations
@@ -25,13 +28,12 @@ import numpy as np
 __all__ = ["MotionState", "KalmanFilter"]
 
 NDIM = 4
-_DIAG = np.arange(2 * NDIM)
 
 
 @dataclass(frozen=True)
 class MotionState:
-    """Gaussian beliefs over box states: mean (N, 8) and cov (N, 8, 8) for a
-    batch of N, or mean (8,) and cov (8, 8) for one belief.
+    """Gaussian beliefs over box states: mean (N, 8) and cov (N, 3, 4) for a
+    batch of N, or mean (8,) and cov (3, 4) for one belief.
 
     The arrays are held as given (converted to float, not copied); indexing
     with rows returns the batch of those rows.
@@ -44,10 +46,10 @@ class MotionState:
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         if mean.ndim not in (1, 2) or mean.shape[-1:] != (2 * NDIM,) or (
-            cov.shape != mean.shape + (2 * NDIM,)
+            cov.shape != mean.shape[:-1] + (3, NDIM)
         ):
             raise ValueError(
-                f"expected mean (N, 8) or (8,) and cov (N, 8, 8) or (8, 8), "
+                f"expected mean (N, 8) or (8,) and cov (N, 3, 4) or (3, 4), "
                 f"got {mean.shape} and {cov.shape}"
             )
         object.__setattr__(self, "mean", mean)
@@ -60,10 +62,6 @@ class MotionState:
 
     def __getitem__(self, rows) -> MotionState:
         return MotionState(self.mean[rows], self.cov[rows])
-
-
-def _symmetric(cov: np.ndarray) -> np.ndarray:
-    return (cov + cov.swapaxes(-1, -2)) / 2.0
 
 
 class KalmanFilter:
@@ -87,18 +85,15 @@ class KalmanFilter:
         self.aspect_pos_std = float(aspect_pos_std)
         self.aspect_vel_std = float(aspect_vel_std)
 
-        self._motion = np.eye(2 * NDIM)
-        self._motion[:NDIM, NDIM:] = np.eye(NDIM)
-
-    def _stds(self, h: np.ndarray, pos_scale: float = 1.0, vel_scale: float = 1.0) -> np.ndarray:
-        """Per-row noise stds (..., 8) for heights h; the aspect stds are
-        constant and never scaled."""
+    def _variances(self, h, pos_scale: float = 1.0, vel_scale: float = 1.0) -> np.ndarray:
+        """Per-row noise variances (..., 8) for heights h, positions first;
+        the aspect stds are constant and never scaled."""
         std = np.empty(np.shape(h) + (2 * NDIM,))
         std[..., 0] = std[..., 1] = std[..., 3] = self.pos_weight * h * pos_scale
         std[..., 4] = std[..., 5] = std[..., 7] = self.vel_weight * h * vel_scale
         std[..., 2] = self.aspect_pos_std
         std[..., 6] = self.aspect_vel_std
-        return std
+        return std * std
 
     def initiate(self, measurements) -> MotionState:
         """Create states from unassociated (cx, cy, a, h) measurements, one
@@ -111,42 +106,42 @@ class KalmanFilter:
             raise ValueError(f"expected (N, 4) or (4,) measurements, got shape {m.shape}")
         if np.any(m[..., 3] <= 0.0):
             raise ValueError(f"measurement heights must be positive, got {m[..., 3]}")
-        std = self._stds(m[..., 3], 2.0, 10.0)
-        mean = np.zeros(std.shape)
-        mean[..., :NDIM] = m
-        cov = np.zeros(std.shape + (2 * NDIM,))
-        cov[..., _DIAG, _DIAG] = std * std
-        return MotionState(mean, cov)
+        var = self._variances(m[..., 3], 2.0, 10.0)
+        cov = np.zeros(m.shape[:-1] + (3, NDIM))
+        cov[..., 0, :] = var[..., :NDIM]
+        cov[..., 2, :] = var[..., NDIM:]
+        return MotionState(np.concatenate([m, np.zeros(m.shape)], axis=-1), cov)
 
     def predict_many(self, states: MotionState) -> MotionState:
         """Advance every belief one frame under the constant-velocity model."""
         # noise scales must stay positive even for degraded predicted states
-        std = self._stds(np.maximum(states.mean[..., 3], 1e-3))
-        mean = states.mean @ self._motion.T
-        cov = self._motion @ states.cov @ self._motion.T
-        cov[..., _DIAG, _DIAG] += std * std
-        return MotionState(mean, _symmetric(cov))
+        q = self._variances(np.maximum(states.mean[..., 3], 1e-3))
+        mean = states.mean.copy()
+        mean[..., :NDIM] += mean[..., NDIM:]
+        # the rows p_xx, p_xv and p_vv, of one belief or across the batch
+        p_xx, p_xv, p_vv = states.cov.swapaxes(0, -2)
+        cov = np.empty_like(states.cov)
+        cov[..., 0, :] = (p_xx + p_xv) + (p_xv + p_vv) + q[..., :NDIM]
+        cov[..., 1, :] = p_xv + p_vv
+        cov[..., 2, :] = p_vv + q[..., NDIM:]
+        return MotionState(mean, cov)
 
     def update_many(self, states: MotionState, measurements) -> MotionState:
         """Correct every belief with its associated (cx, cy, a, h) measurement,
-        one row of measurements per state.
-
-        Raises numpy.linalg.LinAlgError if an innovation covariance is
-        singular, which cannot happen with the positive-definite default noise.
-        """
-        means, covs = states.mean, states.cov
-        zs = np.asarray(measurements, dtype=float).reshape(means.shape[:-1] + (NDIM,))
-        r_std = self._stds(np.maximum(means[..., 3], 1e-3))[..., :NDIM]
-
-        # innovation covariance S = H cov H' + R, with H selecting the position block
-        proj_cov = covs[..., :NDIM, :NDIM].copy()
-        proj_cov[..., _DIAG[:NDIM], _DIAG[:NDIM]] += r_std * r_std
-        # gain K = cov H' S^-1
-        b = covs[..., :, :NDIM]
-        gain = np.linalg.solve(proj_cov, b.swapaxes(-1, -2)).swapaxes(-1, -2)
-        mean = means + np.einsum("...ij,...j->...i", gain, zs - means[..., :NDIM])
-        cov = covs - gain @ proj_cov @ gain.swapaxes(-1, -2)
-        return MotionState(mean, _symmetric(cov))
+        one row of measurements per state."""
+        zs = np.asarray(measurements, dtype=float).reshape(states.mean.shape[:-1] + (NDIM,))
+        p_xx, p_xv, p_vv = states.cov.swapaxes(0, -2)
+        s = p_xx + self._variances(np.maximum(states.mean[..., 3], 1e-3))[..., :NDIM]
+        # p * (1 / s) rather than p / s, and p_xv as the average of the two
+        # unequal off-diagonal products, give the 8x8 reference filter's bytes
+        k_x, k_v = p_xx * (1.0 / s), p_xv * (1.0 / s)
+        innovation = zs - states.mean[..., :NDIM]
+        mean = states.mean + np.concatenate([k_x * innovation, k_v * innovation], axis=-1)
+        cov = np.empty_like(states.cov)
+        cov[..., 0, :] = p_xx - (k_x * s) * k_x
+        cov[..., 1, :] = ((p_xv - (k_x * s) * k_v) + (p_xv - (k_v * s) * k_x)) / 2.0
+        cov[..., 2, :] = p_vv - (k_v * s) * k_v
+        return MotionState(mean, cov)
 
     predict = predict_many
     update = update_many

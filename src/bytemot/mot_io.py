@@ -39,7 +39,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 PEDESTRIAN_CLASS = 1
-COORD_FORMAT = "{:.2f}"
 
 
 class ParseError(ValueError):

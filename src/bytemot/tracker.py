@@ -18,7 +18,7 @@ skips stage 2 and is the one-stage baseline used for ablations.
 
 Live tracks are a table of columns with one row per track, oldest (lowest id)
 first: the Kalman beliefs as one MotionState batch (mean (N, 8), cov
-(N, 8, 8)), the ids, the first and last matched frames, and each track's last
+(N, 3, 4)), the ids, the first and last matched frames, and each track's last
 matched Detection, whose box and score are what the track emits. A frame
 predicts the whole batch in one call; each stage gathers the rows it matched,
 updates them in one call and scatters them back. Going lost, removal and
@@ -174,7 +174,7 @@ class ByteTracker:
     def __init__(self, config: TrackerConfig | None = None, kalman: KalmanFilter | None = None):
         self.config = config if config is not None else TrackerConfig()
         self.kalman = kalman if kalman is not None else KalmanFilter()
-        self._motion = MotionState(np.empty((0, 8)), np.empty((0, 8, 8)))
+        self._motion = MotionState(np.empty((0, 8)), np.empty((0, 3, 4)))
         self._id = np.empty(0, dtype=np.int64)
         self._start = np.empty(0, dtype=np.int64)
         self._last = np.empty(0, dtype=np.int64)
@@ -226,12 +226,15 @@ class ByteTracker:
     def step(self, frame: int, detections: list[Detection]) -> FrameResult:
         """Run one association round and return the tracks to emit.
 
-        The frame index must strictly increase across calls and every
-        detection must carry this frame's index. Frames skipped since the
-        last call are advanced as empty frames while any track is live, so a
-        gap predicts, loses and removes tracks exactly as feeding the empty
-        frames would; their lost and removed counts are added to last_stats.
+        The frame index must be an integer (bools are rejected) that strictly
+        increases across calls, and every detection must carry this frame's
+        index. Frames skipped since the last call are advanced as empty
+        frames while any track is live, so a gap predicts, loses and removes
+        tracks exactly as feeding the empty frames would; their lost and
+        removed counts are added to last_stats.
         """
+        if type(frame) is not int and (isinstance(frame, bool) or not isinstance(frame, Integral)):
+            raise ValueError(f"frame index must be an integer, got {frame!r}")
         if frame <= self._frame:
             raise ValueError(
                 f"frame index must increase, got {frame} after {self._frame}"

@@ -3,7 +3,8 @@
 Everything here is deliberately naive (enumeration, counting, scalar
 recursions, per-object loops) and shares no code with the library paths it
 checks. The reference tracker reuses the library's configuration and result
-types, IoU and assignment, which are checked on their own.
+types, IoU and assignment, which are checked on their own. A few small
+readers of library output that several test modules share sit at the end.
 """
 
 import itertools
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from bytemot.assignment import min_cost_assignment, solve
-from bytemot.geometry import BBox, Detection, iou, iou_matrix_tlbr, to_cxcyah
+from bytemot.geometry import BBox, Detection, iou, iou_matrix_tlbr
 from bytemot.metrics import ClearResult, GtEntry, IdfResult
 from bytemot.mot_io import ParseError
 from bytemot.postprocess import TrackDump, TrackEntry
@@ -300,6 +301,40 @@ class RefKalmanFilter:
         return [self.update(s, z) for s, z in zip(states, measurements)]
 
 
+# The library filter keeps only the four 2x2 (component, velocity) blocks of
+# the 8x8 covariance, as (..., 3, 4) rows p_xx, p_xv and p_vv, one column per
+# axis. These convert between the two forms.
+_AXIS = np.arange(NDIM)
+
+
+def full_cov(blocks) -> np.ndarray:
+    """The (..., 8, 8) covariance that per-axis blocks (..., 3, 4) stand for,
+    with 0.0 outside the blocks."""
+    blocks = np.asarray(blocks, dtype=float)
+    cov = np.zeros(blocks.shape[:-2] + (2 * NDIM, 2 * NDIM))
+    cov[..., _AXIS, _AXIS] = blocks[..., 0, :]
+    cov[..., _AXIS, _AXIS + NDIM] = blocks[..., 1, :]
+    cov[..., _AXIS + NDIM, _AXIS] = blocks[..., 1, :]
+    cov[..., _AXIS + NDIM, _AXIS + NDIM] = blocks[..., 2, :]
+    return cov
+
+
+def cov_blocks(cov) -> np.ndarray:
+    """The per-axis blocks (..., 3, 4) of (..., 8, 8) covariances. Asserts
+    that both off-diagonal copies of p_xv hold the same bytes and that every
+    entry outside the blocks is exactly 0.0, so the blocks lose nothing."""
+    cov = np.asarray(cov, dtype=float)
+    p_xv = cov[..., _AXIS, _AXIS + NDIM]
+    assert p_xv.tobytes() == cov[..., _AXIS + NDIM, _AXIS].tobytes()
+    outside = cov.copy()
+    outside[..., _AXIS, _AXIS] = outside[..., _AXIS, _AXIS + NDIM] = 0.0
+    outside[..., _AXIS + NDIM, _AXIS] = outside[..., _AXIS + NDIM, _AXIS + NDIM] = 0.0
+    assert np.all(outside == 0.0), "covariance has entries outside the per-axis blocks"
+    return np.stack(
+        [cov[..., _AXIS, _AXIS], p_xv, cov[..., _AXIS + NDIM, _AXIS + NDIM]], axis=-2
+    )
+
+
 class RefTrack:
     """Mutable per-identity state owned by one tracker instance."""
 
@@ -469,7 +504,7 @@ class RefByteTracker:
             det = high[c]
             if det.score > bar:
                 births.append(
-                    RefTrack(next(self._ids), frame, self.kalman.initiate(to_cxcyah(det.box)), det)
+                    RefTrack(next(self._ids), frame, self.kalman.initiate(det.box.cxcyah()), det)
                 )
             else:
                 n_suppressed += 1
@@ -680,3 +715,17 @@ def ref_dump_from_rows(rows: list[tuple[int, int, BBox, float]]) -> TrackDump:
                 )
             seen.add(entry.frame)
     return dump
+
+
+# --- shared test helpers ----------------------------------------------------
+
+
+def total_cost(assign, cost) -> float:
+    """Summed cost of an assignment's matched cells."""
+    return float(sum(cost[r, c] for r, c in assign.matches))
+
+
+def read_manifest(path) -> dict[str, str]:
+    """The key=value lines of a run manifest as a dict."""
+    with open(path, encoding="utf-8") as fh:
+        return dict(line.rstrip("\n").split("=", 1) for line in fh if "=" in line)

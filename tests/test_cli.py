@@ -3,10 +3,11 @@ import io
 
 import pytest
 
-from bytemot.cli import main, read_manifest
+from bytemot.cli import main
 from bytemot.geometry import BBox
 from bytemot.mot_io import read_gt, read_results, write_results
 from bytemot.postprocess import TrackEntry
+from oracles import read_manifest
 
 
 @pytest.fixture(scope="module")

@@ -5,21 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bytemot.geometry import (
-    BBox,
-    Detection,
-    _iou_cells,
-    from_cxcyah,
-    iou,
-    iou_matrix,
-    iou_matrix_tlbr,
-    to_cxcyah,
-)
+from bytemot.geometry import BBox, Detection, _iou_cells, iou, iou_matrix_tlbr
 from oracles import iou_matrix_tlbr_dense, rasterized_iou
 
 
 def tlwh(l, t, w, h):
     return BBox(l, t, w, h)
+
+
+def iou_matrix(tracks, dets):
+    """IoU of two box lists through iou_matrix_tlbr, one row per track box."""
+    return iou_matrix_tlbr([b.tlbr() for b in tracks], [b.tlbr() for b in dets])
 
 
 boxes = st.builds(
@@ -50,7 +46,6 @@ class TestBBox:
         b = tlwh(3, 4, 8, 8)
         assert b.tlbr() == (3, 4, 11, 12)
         assert b.cxcyah() == (7, 8, 1.0, 8)
-        assert b.area == 64
 
     def test_cxcyah_example(self):
         assert tlwh(0, 0, 10, 20).cxcyah() == (5, 10, 0.5, 20)
@@ -65,7 +60,9 @@ class TestBBox:
 
     @given(boxes)
     def test_cxcyah_round_trip(self, b):
-        back = from_cxcyah(to_cxcyah(b))
+        cx, cy, aspect, height = b.cxcyah()
+        width = aspect * height
+        back = BBox(cx - width / 2.0, cy - height / 2.0, width, height)
         for got, want in zip(back.tlwh(), b.tlwh()):
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-9)
 
@@ -76,6 +73,14 @@ class TestDetection:
             Detection(1, tlwh(0, 0, 1, 1), 1.5)
         with pytest.raises(ValueError):
             Detection(0, tlwh(0, 0, 1, 1), 0.5)
+
+    @pytest.mark.parametrize("frame", [1.5, 2.0, True, np.float64(3.0), "3", None])
+    def test_rejects_non_integer_frames(self, frame):
+        with pytest.raises(ValueError, match="frame index must be an integer"):
+            Detection(frame, tlwh(0, 0, 1, 1), 0.5)
+
+    def test_accepts_numpy_integer_frames(self):
+        assert Detection(np.int64(3), tlwh(0, 0, 1, 1), 0.5).frame == 3
 
 
 class TestIou:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bytemot.kalman import KalmanFilter, MotionState
-from oracles import RefKalmanFilter, RefMotionState
+from oracles import RefKalmanFilter, RefMotionState, cov_blocks, full_cov
 
 REF = RefKalmanFilter()
 
@@ -19,7 +19,7 @@ def stack(states):
 
 
 def ref_state(state):
-    return RefMotionState(state.mean, state.cov)
+    return RefMotionState(state.mean, full_cov(state.cov))
 
 
 def random_ops_sequence(kf, rng, n_ops):
@@ -48,17 +48,17 @@ class TestInitiate:
         assert s.mean[:4].tolist() == [7, 8, 1.0, 8]
 
     def test_covariance_spd(self, kf):
-        s = kf.initiate([100, 50, 0.8, 60])
-        assert np.allclose(s.cov, s.cov.T)
-        assert np.all(np.linalg.eigvalsh(s.cov) > 0)
+        cov = full_cov(kf.initiate([100, 50, 0.8, 60]).cov)
+        assert np.allclose(cov, cov.T)
+        assert np.all(np.linalg.eigvalsh(cov) > 0)
 
     def test_velocity_inflation_exceeds_position_inflation(self, kf):
         # relative to the base weights, velocity uncertainty starts larger
         # (x10) than position uncertainty (x2)
         h = 60.0
-        s = kf.initiate([100, 50, 0.8, h])
-        pos_rel = s.cov[0, 0] / (kf.pos_weight * h) ** 2
-        vel_rel = s.cov[4, 4] / (kf.vel_weight * h) ** 2
+        cov = full_cov(kf.initiate([100, 50, 0.8, h]).cov)
+        pos_rel = cov[0, 0] / (kf.pos_weight * h) ** 2
+        vel_rel = cov[4, 4] / (kf.vel_weight * h) ** 2
         assert vel_rel > pos_rel
         assert pos_rel == pytest.approx(4.0)
         assert vel_rel == pytest.approx(100.0)
@@ -81,18 +81,18 @@ class TestPredict:
 
     def test_diagonal_never_below_propagated_cov(self, kf):
         s = kf.initiate([100, 100, 1.0, 50])
-        f = kf._motion
+        f = REF._motion
         for _ in range(5):
-            propagated = f @ s.cov @ f.T
+            propagated = f @ full_cov(s.cov) @ f.T
             s = kf.predict(s)
-            assert np.all(np.diag(s.cov) >= np.diag(propagated))
+            assert np.all(np.diag(full_cov(s.cov)) >= np.diag(propagated))
 
     def test_repeated_predict_matches_closed_form(self, kf):
         # zero velocity keeps h constant, so the process noise Q is constant
         # and cov_k = F^k cov0 F^k' + sum_i F^i Q F^i'
         m = np.array([100.0, 100.0, 1.0, 50.0])
         s0 = kf.initiate(m)
-        f = kf._motion
+        f = REF._motion
         h = m[3]
         q_std = np.array(
             [kf.pos_weight * h] * 2 + [kf.aspect_pos_std] + [kf.pos_weight * h]
@@ -104,20 +104,20 @@ class TestPredict:
             for _ in range(k):
                 s = kf.predict(s)
             fk = np.linalg.matrix_power(f, k)
-            expected = fk @ s0.cov @ fk.T
+            expected = fk @ full_cov(s0.cov) @ fk.T
             for i in range(k):
                 fi = np.linalg.matrix_power(f, i)
                 expected += fi @ q @ fi.T
-            assert np.allclose(s.cov, expected, atol=1e-9)
+            assert np.allclose(full_cov(s.cov), expected, atol=1e-9)
             assert np.allclose(s.mean[:2], m[:2])
 
     def test_position_variance_grows_monotonically(self, kf):
         s = kf.initiate([100, 100, 1.0, 50])
-        prev = s.cov[0, 0]
+        prev = full_cov(s.cov)[0, 0]
         for _ in range(10):
             s = kf.predict(s)
-            assert s.cov[0, 0] > prev
-            prev = s.cov[0, 0]
+            assert full_cov(s.cov)[0, 0] > prev
+            prev = full_cov(s.cov)[0, 0]
 
 
 class TestUpdate:
@@ -135,7 +135,7 @@ class TestUpdate:
             z = s.mean[:4] + rng.normal(0, 0.5, 4)
             z[3] = max(z[3], 1.0)
             updated = kf.update(s, z)
-            assert np.trace(updated.cov) < np.trace(s.cov)
+            assert np.trace(full_cov(updated.cov)) < np.trace(full_cov(s.cov))
             s = updated
 
     def test_repeated_update_converges_to_measurement(self, kf):
@@ -154,7 +154,7 @@ class TestUpdate:
             x = x + gain * (z[0] - x)
             p = p - gain * p
         assert s.mean[0] == pytest.approx(x, abs=1e-9)
-        assert s.cov[0, 0] == pytest.approx(p, abs=1e-9)
+        assert full_cov(s.cov)[0, 0] == pytest.approx(p, abs=1e-9)
         assert abs(s.mean[0] - z[0]) < 1e-3
         assert abs(s.mean[1] - z[1]) < 1e-3
 
@@ -165,7 +165,8 @@ class TestInvariants:
         worst = 0.0
         for _ in range(200):
             for s in random_ops_sequence(kf, rng, 12):
-                worst = max(worst, float(np.abs(s.cov - s.cov.T).max()))
+                cov = full_cov(s.cov)
+                worst = max(worst, float(np.abs(cov - cov.T).max()))
         assert worst < 1e-9
 
     def test_tracks_constant_velocity_motion(self, kf):
@@ -208,7 +209,7 @@ class TestInvariants:
         assert (states.mean.tobytes(), states.cov.tobytes(), zs.tobytes()) == before
 
     def test_state_holds_its_arrays(self):
-        mean, cov = np.zeros((3, 8)), np.zeros((3, 8, 8))
+        mean, cov = np.zeros((3, 8)), np.zeros((3, 3, 4))
         state = MotionState(mean, cov)
         assert state.mean is mean and state.cov is cov
         assert len(state) == 3
@@ -216,12 +217,16 @@ class TestInvariants:
         with pytest.raises(TypeError):
             len(MotionState(mean[0], cov[0]))
         with pytest.raises(ValueError):
-            MotionState(mean, cov[:, :4])
+            MotionState(mean, cov[:, :2])
+        with pytest.raises(ValueError):
+            MotionState(mean, np.zeros((3, 8, 8)))
 
 
 class TestBatchedForms:
-    """The batched operations against the per-state filter they replaced
-    (tests/oracles.py), byte for byte."""
+    """The batched per-axis operations against the per-state 8x8 filter they
+    replaced (tests/oracles.py), byte for byte: the blocks equal the
+    reference's entries at the block positions, and cov_blocks asserts that
+    every other reference entry is exactly 0.0."""
 
     def test_predict_many_matches_predict(self, kf):
         rng = np.random.default_rng(5)
@@ -231,7 +236,7 @@ class TestBatchedForms:
         for i, state in enumerate(states):
             want = REF.predict(ref_state(state))
             assert batch.mean[i].tobytes() == want.mean.tobytes()
-            assert batch.cov[i].tobytes() == want.cov.tobytes()
+            assert batch.cov[i].tobytes() == cov_blocks(want.cov).tobytes()
 
     def test_update_many_matches_update(self, kf):
         rng = np.random.default_rng(6)
@@ -242,7 +247,7 @@ class TestBatchedForms:
         for i, (state, z) in enumerate(zip(states, zs)):
             want = REF.update(ref_state(state), z)
             assert batch.mean[i].tobytes() == want.mean.tobytes()
-            assert batch.cov[i].tobytes() == want.cov.tobytes()
+            assert batch.cov[i].tobytes() == cov_blocks(want.cov).tobytes()
 
     def test_initiate_batch_matches_initiate(self, kf):
         ms = np.random.default_rng(9).uniform([0, 0, 0.3, 10], [800, 600, 2.5, 120], (6, 4))
@@ -251,7 +256,7 @@ class TestBatchedForms:
         for i, m in enumerate(ms):
             want = REF.initiate(m)
             assert batch.mean[i].tobytes() == want.mean.tobytes()
-            assert batch.cov[i].tobytes() == want.cov.tobytes()
+            assert batch.cov[i].tobytes() == cov_blocks(want.cov).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -284,12 +289,21 @@ class TestBatchedForms:
                 single = kf.predict(kf.initiate(boxes[0]))
                 want = REF.predict(REF.initiate(boxes[0]))
             assert batch.mean.tobytes() == np.stack([r.mean for r in refs]).tobytes()
-            assert batch.cov.tobytes() == np.stack([r.cov for r in refs]).tobytes()
+            assert batch.cov.tobytes() == cov_blocks(np.stack([r.cov for r in refs])).tobytes()
             assert single.mean.tobytes() == want.mean.tobytes()
-            assert single.cov.tobytes() == want.cov.tobytes()
+            assert single.cov.tobytes() == cov_blocks(want.cov).tobytes()
+
+    def test_block_helpers_round_trip_and_reject_coupled_entries(self, kf):
+        ms = np.random.default_rng(3).uniform([0, 0, 0.3, 10], [800, 600, 2.5, 120], (4, 4))
+        blocks = kf.predict_many(kf.initiate(ms)).cov
+        assert cov_blocks(full_cov(blocks)).tobytes() == blocks.tobytes()
+        coupled = full_cov(blocks)
+        coupled[:, 0, 1] = coupled[:, 1, 0] = 1e-300
+        with pytest.raises(AssertionError):
+            cov_blocks(coupled)
 
     def test_empty_batches(self, kf):
-        empty = MotionState(np.empty((0, 8)), np.empty((0, 8, 8)))
+        empty = MotionState(np.empty((0, 8)), np.empty((0, 3, 4)))
         assert len(kf.predict_many(empty)) == 0
         assert len(kf.update_many(empty, np.empty((0, 4)))) == 0
         assert len(kf.initiate(np.empty((0, 4)))) == 0
