@@ -5,9 +5,20 @@ it first maximizes cardinality, then minimizes total cost. Infeasibility is
 enforced before solving, never by pruning an unconstrained optimum, so a
 rejected pairing can never shadow a feasible alternative.
 
-Implementation: what the feasibility mask already decides is settled first.
-Rows and columns without a feasible entry stay unmatched, and a feasible
-entry alone in both its row and its column is matched. Such an entry is a
+Implementation: one flat pass (``np.flatnonzero`` of the mask, split into
+rows and columns by integer division) lists the feasible cells; finiteness is
+checked on those cells only, and the degrees, the settled pairs, the cost
+shift and the padded matrix are all built from that list. Beside the mask
+(the caller's, or the cost's finiteness when none is given), the only dense
+array is the padded matrix of the contested rows and columns. In a crowd the
+list holds about one cell per row. A matrix whose every cell is feasible
+(idf1's identity weights) has nothing to settle and skips the list: its cost
+matrix goes to the padded solve whole.
+
+What the feasibility mask already decides is settled first. Rows and
+columns without a feasible entry stay unmatched, and a feasible entry alone
+in both its row and its column is matched (when every row and column holds
+at most one feasible entry, that is the whole answer). Such an entry is a
 component of the feasibility graph on its own, so every maximum-cardinality
 matching contains it at the same cost, and the lexicographic optimum of the
 rest is the optimum of the whole. Only the contested remainder (the whole
@@ -59,48 +70,77 @@ def solve(cost, feasible=None) -> Assignment:
     if cost.ndim != 2:
         raise ValueError(f"cost must be 2-dimensional, got shape {cost.shape}")
     n, m = cost.shape
-    mask = np.isfinite(cost)
     if feasible is not None:
         feasible = np.asarray(feasible, dtype=bool)
         if feasible.shape != cost.shape:
             raise ValueError("feasible mask shape must match the cost matrix")
-        mask &= feasible
-    if n == 0 or m == 0 or not mask.any():
+    if n == 0 or m == 0:
         return _empty(n, m)
 
-    row_deg = mask.sum(axis=1)
-    col_deg = mask.sum(axis=0)
-    # a feasible cell alone in both its row and its column is in every
-    # maximum-cardinality matching at the same cost: settle it directly
-    single = np.flatnonzero(row_deg == 1)
-    single_col = mask[single].argmax(axis=1)
-    alone = col_deg[single_col] == 1
-    forced_r, forced_c = single[alone], single_col[alone]
-    contested_rows = row_deg > 0
-    contested_rows[forced_r] = False
-    rr = np.flatnonzero(contested_rows)
-    if len(rr) == 0:
-        matches = list(zip(forced_r.tolist(), forced_c.tolist()))
-    else:
-        contested_cols = col_deg > 0
-        contested_cols[forced_c] = False
-        cc = np.flatnonzero(contested_cols)
-        # one shift for the whole matrix, so each shifted cost handed to the
-        # solver is the value the full padded matrix would hold
-        usable = cost[mask]
-        span = float(usable.max() - min(0.0, usable.min()))
-        big = span * min(n, m) + 1.0
-        if len(rr) == n and len(cc) == m:
-            matches = _padded_solve(cost, mask, big)
-        else:
-            sub = (rr[:, None], cc)
-            row_of, col_of = rr.tolist(), cc.tolist()
-            matches = sorted(
-                list(zip(forced_r.tolist(), forced_c.tolist()))
-                + [(row_of[r], col_of[c])
-                   for r, c in _padded_solve(cost[sub], mask[sub], big)]
-            )
+    mask = np.isfinite(cost) if feasible is None else feasible
+    if mask.all() and (feasible is None or np.isfinite(cost).all()):
+        # every cell is feasible (idf1's weights): nothing can be settled
+        # unless the matrix is 1 x 1, whose cell the solve matches anyway,
+        # so the cost matrix goes to the padded solve whole
+        big = float(cost.max() - min(0.0, cost.min())) * min(n, m) + 1.0
+        return _settled(_padded_solve(n, m, slice(0, n), slice(0, m), cost - big), n, m)
+    # the feasible cells as (row, col, cost) triples in row-major order, from
+    # one flat pass; finiteness is checked only on the cells found
+    cells = np.flatnonzero(mask)
+    values = cost.reshape(-1)[cells]
+    if feasible is not None:
+        finite = np.isfinite(values)
+        if not finite.all():
+            cells, values = cells[finite], values[finite]
+    if not len(cells):
+        return _empty(n, m)
+    # rows, then the columns in place of the flat indices: one fewer
+    # temporary of the triples' length
+    rows = cells // m
+    cols = np.remainder(cells, m, out=cells)
 
+    row_deg = np.bincount(rows, minlength=n)
+    col_deg = np.bincount(cols, minlength=m)
+    # a feasible cell alone in both its row and its column is in every
+    # maximum-cardinality matching at the same cost: settle it directly. When
+    # every degree is at most 1, every cell is such a pair (the common case
+    # in small scenes); otherwise a row of degree 1 holds one cell, at its
+    # row's start in the triples.
+    if row_deg.max() == 1 and col_deg.max() == 1:
+        return _settled(list(zip(rows.tolist(), cols.tolist())), n, m)
+    single = np.flatnonzero(row_deg == 1)
+    at = (np.cumsum(row_deg) - row_deg)[single]
+    alone = col_deg[cols[at]] == 1
+    at = at[alone]
+    forced = list(zip(single[alone].tolist(), cols[at].tolist()))
+    # one shift for the whole matrix, so each shifted cost handed to the
+    # solver is the value the full padded matrix would hold
+    span = float(values.max() - min(0.0, values.min()))
+    big = span * min(n, m) + 1.0
+    if len(at):
+        contested = np.ones(len(rows), dtype=bool)
+        contested[at] = False
+        rows, cols, values = rows[contested], cols[contested], values[contested]
+        row_deg = np.bincount(rows, minlength=n)
+        col_deg = np.bincount(cols, minlength=m)
+    values -= big
+    # the contested rows and columns, and each cell's index among them
+    rr, cc = np.flatnonzero(row_deg), np.flatnonzero(col_deg)
+    if len(rr) < n:
+        rows = np.searchsorted(rr, rows)
+    if len(cc) < m:
+        cols = np.searchsorted(cc, cols)
+    row_of, col_of = rr.tolist(), cc.tolist()
+    matches = sorted(forced + [
+        (row_of[r], col_of[c])
+        for r, c in _padded_solve(len(rr), len(cc), rows, cols, values)
+    ])
+    return _settled(matches, n, m)
+
+
+def _settled(matches: list[tuple[int, int]], n: int, m: int) -> Assignment:
+    """The Assignment of matches sorted by row, with the rows and columns
+    they leave unmatched."""
     matched_rows = {r for r, _ in matches}
     matched_cols = {c for _, c in matches}
     return Assignment(
@@ -110,13 +150,14 @@ def solve(cost, feasible=None) -> Assignment:
     )
 
 
-def _padded_solve(cost, mask, big) -> list[tuple[int, int]]:
-    """Exact LSAP on the (n+m)^2 embedding: one dummy column per row and one
-    dummy row per column, so leaving an index unmatched costs nothing.
-    Returns the matched (row, col) pairs sorted by row."""
-    n, m = cost.shape
+def _padded_solve(n, m, rows, cols, shifted) -> list[tuple[int, int]]:
+    """Exact LSAP of an (n, m) problem whose feasible cells (rows, cols), as
+    index arrays or as slices covering every cell, hold the shifted costs, on
+    the (n+m)^2 embedding: one dummy column per row and one dummy row per
+    column, so leaving an index unmatched costs nothing. Returns the matched
+    (row, col) pairs sorted by row."""
     padded = np.full((n + m, n + m), np.inf)
-    np.subtract(cost, big, out=padded[:n, :m], where=mask)
+    padded[rows, cols] = shifted
     np.fill_diagonal(padded[:n, m:], 0.0)
     np.fill_diagonal(padded[n:, :m], 0.0)
     padded[n:, m:] = 0.0

@@ -1,14 +1,26 @@
-"""Axis-aligned box geometry: representations, conversions and IoU similarity."""
+"""Axis-aligned box geometry: representations, conversions and IoU similarity.
+
+Every IoU is computed by one cell formula, ``_iou_cells``. ``_overlaps`` is
+the one overlap gate: it finds the pairs of positive IoU between two box sets
+by the x axis first, so its work follows the overlapping pairs rather than
+every pair. ``iou_matrix_tlbr`` scores a small matrix by broadcasting and
+scatters the gated pairs of a large one into zeros (see _GATE_CELLS);
+``metrics`` gates each block of evaluation frames with the same function.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 from numbers import Integral
 
 import numpy as np
 
 __all__ = ["BBox", "Detection", "iou", "iou_matrix_tlbr"]
+
+# The largest absolute value a box coordinate or size may take, in pixels:
+# far past any image, and small enough that box areas, Kalman variances and
+# their sums stay finite (a 1e200 box overflows both).
+BOX_LIMIT = 1e9
 
 
 @dataclass(frozen=True, slots=True)
@@ -17,7 +29,8 @@ class BBox:
 
     Coordinates are real-valued and deliberately unclipped: boxes may extend
     past image borders, which is legitimate for partially visible objects.
-    All four values must be finite, and width and height strictly positive.
+    All four values must be finite and at most BOX_LIMIT (1e9) in absolute
+    value, and width and height strictly positive.
     The tlbr (corner pair) and cxcyah (center-x, center-y, aspect w/h, height)
     encodings are derived views of the same box.
     """
@@ -32,9 +45,13 @@ class BBox:
         object.__setattr__(self, "top", float(self.top))
         object.__setattr__(self, "width", float(self.width))
         object.__setattr__(self, "height", float(self.height))
-        if not (isfinite(self.left) and isfinite(self.top)
-                and isfinite(self.width) and isfinite(self.height)):
-            raise ValueError(f"box values must be finite, got {self.tlwh()}")
+        # abs(NaN) and abs(inf) fail the bound too
+        if not (abs(self.left) <= BOX_LIMIT and abs(self.top) <= BOX_LIMIT
+                and abs(self.width) <= BOX_LIMIT and abs(self.height) <= BOX_LIMIT):
+            raise ValueError(
+                f"box values must be finite and at most {BOX_LIMIT:g} in absolute "
+                f"value, got {self.tlwh()}"
+            )
         if not (self.width > 0.0 and self.height > 0.0):
             raise ValueError(
                 f"box size must be positive, got {self.width} x {self.height}"
@@ -106,18 +123,105 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / (area_a + area_b - inter)
 
 
+# iou_matrix_tlbr broadcasts below this many cells (N x M) and gates at or
+# above it. The gate costs about 55 us before any pair is scored, the
+# broadcast about 10 us per 1,000 cells. Medians over tracker calls on
+# crowd_clean and crowd_occluded scenes of k agents (2 cores, Python 3.11.7,
+# numpy 2.4.6), broadcast / gate in us:
+#   2,025 cells 41 / 58;  3,025 49 / 57;  4,096 60 / 62;  4,530 67 / 73;
+#   5,184 69 / 64;  5,762 78 / 75;  6,400 77 / 64;  40,000 372 / 119.
+# The two cross between 4,500 and 5,200 cells.
+_GATE_CELLS = 5000
+# Candidate pairs the gate expands and scores at a time.
+_PAIR_CHUNK = 1 << 13
+
+
 def iou_matrix_tlbr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two (N, 4) / (M, 4) tlbr arrays.
 
     Degenerate rows (non-positive extent) get zero similarity instead of an
     error; this lets callers feed raw motion predictions without pre-filtering.
-    Cells whose union is not positive (or is NaN) are 0.
+    Cells whose union is not positive (or is NaN) are 0. Both sides of the
+    _GATE_CELLS crossover give the same bytes: every cell the gate skips is
+    one the broadcast scores as 0.
     """
     a = np.asarray(a, dtype=float).reshape(-1, 4)
     b = np.asarray(b, dtype=float).reshape(-1, 4)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((a.shape[0], b.shape[0]), dtype=float)
-    return _iou_cells(a.T[:, :, None], b.T[:, None, :])
+    n, m = a.shape[0], b.shape[0]
+    if n == 0 or m == 0:
+        return np.zeros((n, m), dtype=float)
+    if n * m < _GATE_CELLS:
+        return _iou_cells(a.T[:, :, None], b.T[:, None, :])
+    out = np.zeros((n, m), dtype=float)
+    rows, cols, ious = _overlaps(a.T, b.T)
+    out[rows, cols] = ious
+    return out
+
+
+def _lex(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """(major, minor) pairs as complex numbers, which numpy orders
+    lexicographically in sorts, searches and maxima."""
+    out = np.empty(len(major), dtype=complex)
+    out.real = major
+    out.imag = minor
+    return out
+
+
+def _windows(lo: np.ndarray, hi: np.ndarray, chunk: int):
+    """The (row, col) pairs of row i with every col in [lo[i], hi[i]), in
+    batches of whole rows of at most ``chunk`` pairs (a row with more than
+    ``chunk`` is a batch of its own)."""
+    counts = np.maximum(hi - lo, 0)
+    ends = np.cumsum(counts)
+    a = 0
+    while a < len(counts):
+        base = int(ends[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, base + chunk, "right")))
+        total = int(ends[b - 1]) - base
+        if total:
+            n = counts[a:b]
+            rows = np.repeat(np.arange(a, b), n)
+            yield rows, np.arange(total) + np.repeat(lo[a:b] - (ends[a:b] - n - base), n)
+        a = b
+
+
+def _overlaps(a, b, a_frame=None, b_frame=None, chunk: int = _PAIR_CHUNK):
+    """The pairs of positive IoU between boxes given as (4, n) and (4, m)
+    (left, top, right, bottom) edge columns, as (a row, b row, IoU) columns.
+
+    With frame columns for both sides, only pairs of the same frame count.
+    A positive IoU needs overlapping x and y extents, so the x axis gates the
+    candidates: b is ordered by left edge (by frame, then left edge, with
+    frames), and an a box's candidates are the b boxes of its frame whose
+    left edge lies before its right edge, from the first whose running
+    maximum right edge (in that order) passes its left edge. Two searches
+    find each window; the remaining edge tests run on the candidates, at most
+    ``chunk`` at a time, before _iou_cells scores the survivors. Rows or
+    edges that are NaN or inverted only widen a window or fail a test, so no
+    positive pair is missed.
+    """
+    b_left, b_right, a_left, a_right = b[0], b[2], a[0], a[2]
+    if b_frame is not None:
+        b_left, b_right = _lex(b_frame, b_left), _lex(b_frame, b_right)
+        a_left, a_right = _lex(a_frame, a_left), _lex(a_frame, a_right)
+    order = np.argsort(b_left)
+    lo = np.searchsorted(np.maximum.accumulate(b_right[order]), a_left, "right")
+    hi = np.searchsorted(b_left[order], a_right, "left")
+    parts = []
+    for rows, cols in _windows(lo, hi, chunk):
+        cols = order[cols]
+        # one edge row at a time: (4, chunk) gathers would be large enough to
+        # raise glibc's mmap threshold and leave heap residue behind
+        near = (b[2, cols] > a[0, rows]) & (b[3, cols] > a[1, rows]) & (b[1, cols] < a[3, rows])
+        rows, cols = rows[near], cols[near]
+        ious = _iou_cells(a[:, rows], b[:, cols])
+        keep = ious > 0.0
+        parts.append((rows[keep], cols[keep], ious[keep]))
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _iou_cells(a, b) -> np.ndarray:

@@ -13,9 +13,10 @@ identities and track ranks as columns and group the rows by frame with a
 stable sort (ground truth in input order within a frame, predictions in
 ascending track id). The frames are then read in blocks of about
 _BLOCK_ROWS rows: a block's box edges become float64 columns, and its
-same-frame (ground truth, prediction) pairs of positive IoU are found by
-gating on the x axis (see _Block.pairs) and scored row-wise with the cell
-arithmetic of geometry.iou_matrix_tlbr, so each IoU equals that matrix's
+same-frame (ground truth, prediction) pairs of positive IoU come from
+geometry._overlaps, the overlap gate iou_matrix_tlbr also uses, with the
+frame as the major sort key. It gates on the x axis and scores the pairs
+with iou_matrix_tlbr's cell arithmetic, so each IoU equals that matrix's
 cell bit for bit. The CLEAR frame loop and the IDF1 weight count read that
 table; a pair missing from it has IoU 0. Each frame's CLEAR assignment still gets the
 dense matrix the per-frame formulation builds (open ground truth in input
@@ -46,7 +47,7 @@ from operator import attrgetter
 import numpy as np
 
 from .assignment import min_cost_assignment, solve
-from .geometry import BBox, _iou_cells, iou_matrix_tlbr
+from .geometry import _PAIR_CHUNK, BBox, _iou_cells, _overlaps, _windows, iou_matrix_tlbr
 from .postprocess import TrackDump
 
 __all__ = [
@@ -120,10 +121,9 @@ class EvalResult:
         return cls(mota, idf1_score, fp, fn, ids, num_gt, idtp, idfp, idfn)
 
 
-# Ground-truth plus predicted rows per frame block, and candidate pairs per
-# IoU batch.
+# Ground-truth plus predicted rows per frame block; candidate pairs per IoU
+# batch are geometry's _PAIR_CHUNK.
 _BLOCK_ROWS = 1 << 12
-_PAIR_CHUNK = 1 << 13
 
 _FRAME = attrgetter("frame")
 _IDENTITY = attrgetter("identity")
@@ -177,15 +177,6 @@ def _frame_slicer(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _take(items: list, rows: np.ndarray) -> list:
     """The items at the index rows."""
     return list(map(items.__getitem__, rows.tolist()))
-
-
-def _lex(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
-    """(major, minor) pairs as complex numbers, which numpy orders
-    lexicographically in sorts, searches and maxima."""
-    out = np.empty(len(major), dtype=complex)
-    out.real = major
-    out.imag = minor
-    return out
 
 
 class _Index:
@@ -250,13 +241,9 @@ class _Index:
 
 
 class _Block:
-    """Frames [f0, f1) of an index with box edges as (4, n) columns.
-
-    Ground-truth rows follow the index; ``g0`` is the index row of the first.
-    Predictions are ordered by left edge within a frame: ``pred_rank`` holds
-    their track ranks and ``pred_seq`` their order in the index, which is
-    ascending track id within a frame.
-    """
+    """Frames [f0, f1) of an index with box edges as (4, n) columns, rows in
+    index order; ``g0`` is the index row of the first ground truth, and
+    ``pred_rank`` holds the predictions' track ranks."""
 
     def __init__(self, index: _Index, f0: int, f1: int):
         self.f0, self.f1 = f0, f1
@@ -266,64 +253,28 @@ class _Block:
         self.gt_frame = np.repeat(
             frames, np.subtract(index.gt_end[f0:f1], index.gt_start[f0:f1]))
         self.gt_box = _edges(_take(index.gt, index.gt_rows[self.g0:g1]))
-        frame = np.repeat(
+        self.pred_frame = np.repeat(
             frames, np.subtract(index.pred_end[f0:f1], index.pred_start[f0:f1]))
-        box = _edges(_take(index.pred_entries, index.pred_rows[p0:p1]))
-        self.pred_seq = np.lexsort((box[0], frame))
-        self.pred_frame = frame[self.pred_seq]
-        self.pred_box = box[:, self.pred_seq]
-        self.pred_rank = index.pred_rank[p0:p1][self.pred_seq]
+        self.pred_box = _edges(_take(index.pred_entries, index.pred_rows[p0:p1]))
+        self.pred_rank = index.pred_rank[p0:p1]
 
     def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The block's pairs of positive IoU as one table of columns."""
-        parts = list(self.pairs(keep_all=False))
-        if not parts:
-            return np.empty(0, np.intp), np.empty(0, np.int32), np.empty(0)
-        return tuple(np.concatenate(column) for column in zip(*parts))
+        """The block's same-frame pairs of positive IoU as (ground-truth index
+        row, predicted track rank, IoU) columns, found by geometry's overlap
+        gate with the frame as its major key."""
+        g_rows, p_rows, ious = _overlaps(
+            self.gt_box, self.pred_box, self.gt_frame, self.pred_frame, _PAIR_CHUNK)
+        return self.g0 + g_rows, self.pred_rank[p_rows], ious
 
-    def pairs(self, keep_all: bool):
-        """The block's same-frame pairs as (ground-truth index row, predicted
-        track rank, IoU) columns, in batches of at most _PAIR_CHUNK
-        candidates.
-
-        With keep_all every same-frame pair is listed; otherwise exactly the
-        pairs of positive IoU. Those need overlapping x and y extents, so the
-        candidates of a ground-truth box are gated on the x axis first: the
-        predictions of its frame whose left edge lies before its right edge,
-        from the first whose running maximum right edge (in left-edge order)
-        passes its left edge. The remaining edge tests run before the IoU.
-        """
+    def all_pairs(self):
+        """Every same-frame pair of the block, disjoint ones included, as
+        table's columns, in batches of at most _PAIR_CHUNK pairs."""
         gb, pb = self.gt_box, self.pred_box
-        if not gb.shape[1] or not pb.shape[1]:
-            return
-        if keep_all:
-            lo = np.searchsorted(self.pred_frame, self.gt_frame, "left")
-            hi = np.searchsorted(self.pred_frame, self.gt_frame, "right")
-        else:
-            reach = np.maximum.accumulate(_lex(self.pred_frame, pb[2]))
-            lo = np.searchsorted(reach, _lex(self.gt_frame, gb[0]), "right")
-            hi = np.searchsorted(_lex(self.pred_frame, pb[0]), _lex(self.gt_frame, gb[2]), "left")
-        counts = np.maximum(hi - lo, 0)
-        ends = np.cumsum(counts)
-        a = 0
-        while a < len(counts):
-            base = int(ends[a - 1]) if a else 0
-            b = max(a + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, "right")))
-            total = int(ends[b - 1]) - base
-            if total:
-                n = counts[a:b]
-                g_rows = np.repeat(np.arange(a, b), n)
-                p_rows = np.arange(total) + np.repeat(lo[a:b] - (ends[a:b] - n - base), n)
-                if not keep_all:
-                    near = ((pb[2, p_rows] > gb[0, g_rows]) & (pb[3, p_rows] > gb[1, g_rows])
-                            & (pb[1, p_rows] < gb[3, g_rows]))
-                    g_rows, p_rows = g_rows[near], p_rows[near]
-                ious = _iou_cells(gb[:, g_rows], pb[:, p_rows])
-                if not keep_all:
-                    keep = ious > 0.0
-                    g_rows, p_rows, ious = g_rows[keep], p_rows[keep], ious[keep]
-                yield self.g0 + g_rows, self.pred_rank[p_rows], ious
-            a = b
+        lo = np.searchsorted(self.pred_frame, self.gt_frame, "left")
+        hi = np.searchsorted(self.pred_frame, self.gt_frame, "right")
+        for g_rows, p_rows in _windows(lo, hi, _PAIR_CHUNK):
+            ious = _iou_cells(gb[:, g_rows], pb[:, p_rows])
+            yield self.g0 + g_rows, self.pred_rank[p_rows], ious
 
 
 # The index evaluate builds once for its clear_mot and idf1 calls.
@@ -374,7 +325,6 @@ def clear_mot(
         g0, p0 = block.g0, index.pred_start[block.f0]
         gids = index.gt_id[g0:index.gt_end[block.f1 - 1]].tolist()
         ranks = block.pred_rank.tolist()
-        seqs = block.pred_seq.tolist()
 
         for f in range(block.f0, block.f1):
             ga, gb = index.gt_start[f] - g0, index.gt_end[f] - g0
@@ -400,7 +350,6 @@ def clear_mot(
 
             if open_gts and open_preds:
                 # columns in ascending id, as the index lists predictions
-                open_preds.sort(key=seqs.__getitem__)
                 cols = [ranks[c] for c in open_preds]
                 sim = np.array([
                     [overlap.get(key + j, 0.0) for j in cols]
@@ -457,7 +406,7 @@ def idf1(gt: list[GtEntry], pred: TrackDump, iou_min: float = 0.5) -> IdfResult:
     # at iou_min 0 every same-frame pair counts, disjoint ones included
     keep_all = iou_min == 0.0
     for block in index.blocks():
-        for g_rows, p_ranks, ious in block.pairs(keep_all):
+        for g_rows, p_ranks, ious in block.all_pairs() if keep_all else [block.table()]:
             hit = ious >= iou_min
             gt_rank = np.searchsorted(index.gt_ids, index.gt_id[g_rows[hit]])
             cells, counts = np.unique(gt_rank * weights.shape[1] + p_ranks[hit], return_counts=True)

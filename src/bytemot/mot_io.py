@@ -9,10 +9,11 @@ ground truth frame,id,left,top,w,h[,flag[,class[,visibility]]]
 Files are UTF-8; both LF and CRLF line endings are accepted and LF is
 emitted. Every input line either yields a record or a diagnostic carrying
 its line number: malformed lines (including NaN or infinite box values or
-confidences, a ground-truth visibility that is NaN or outside [0, 1], and a
-ground-truth identity repeated within a frame) raise ParseError, rows with
-non-positive box sizes are skipped with a warning, and confidences outside
-[0, 1] are clamped with a warning.
+confidences, box values beyond geometry.BOX_LIMIT in absolute value, integer
+fields outside the int64 range, a ground-truth visibility that is NaN or
+outside [0, 1], and a ground-truth identity repeated within a frame) raise
+ParseError, rows with non-positive box sizes are skipped with a warning, and
+confidences outside [0, 1] are clamped with a warning.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import logging
 import math
 
-from .geometry import BBox, Detection
+from .geometry import BOX_LIMIT, BBox, Detection
 from .metrics import GtEntry
 from .postprocess import TrackDump, TrackEntry
 
@@ -39,6 +40,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 PEDESTRIAN_CLASS = 1
+# 2**63 is exact as a float, so comparing the parsed floats with it is exact
+_INT64_END = float(2**63)
 
 
 class ParseError(ValueError):
@@ -80,8 +83,10 @@ def _fields(path, lineno: int, line: str, minimum: int) -> list[float]:
 
 
 def _int_field(path, lineno: int, value: float, what: str) -> int:
-    if not float(value).is_integer():
+    if not value.is_integer():
         raise ParseError(f"{path}:{lineno}: {what} must be an integer, got {value}")
+    if not -_INT64_END <= value < _INT64_END:
+        raise ParseError(f"{path}:{lineno}: {what} {value:g} is outside the int64 range")
     return int(value)
 
 
@@ -90,7 +95,7 @@ def _box(path, lineno: int, left, top, width, height) -> BBox | None:
     try:
         return BBox(left, top, width, height)
     except ValueError as exc:
-        if not all(map(math.isfinite, (left, top, width, height))):
+        if not all(abs(v) <= BOX_LIMIT for v in (left, top, width, height)):
             raise ParseError(f"{path}:{lineno}: {exc}") from None
     logger.warning(
         "%s:%d: skipping row with non-positive box size %.6g x %.6g",

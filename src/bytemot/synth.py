@@ -32,7 +32,6 @@ __all__ = [
     "timing_config",
     "scenario_to_text",
     "scenario_from_text",
-    "PRNG_ID",
 ]
 
 PRNG_ID = "numpy-pcg64"

@@ -15,7 +15,7 @@ from itertools import combinations, permutations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from bytemot.assignment import min_cost_assignment, solve
+from bytemot.assignment import Assignment, min_cost_assignment, solve
 from bytemot.geometry import BBox, Detection, iou, iou_matrix_tlbr
 from bytemot.metrics import ClearResult, GtEntry, IdfResult
 from bytemot.mot_io import ParseError
@@ -92,6 +92,85 @@ def iou_matrix_tlbr_dense(a, b) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(union > 0.0, inter / union, 0.0)
     return out
+
+
+def ref_solve(cost, feasible=None) -> Assignment:
+    """The dense-mask ``assignment.solve`` that the flat pass over feasible
+    cells replaced, kept verbatim (with its padded solve) as its reference.
+
+    Maximum-cardinality, then minimum-cost matching over feasible entries.
+
+    cost: (n, m) array of finite values (non-finite entries are treated as
+    infeasible). feasible: optional boolean mask of the same shape; entries
+    marked False can never be matched.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2:
+        raise ValueError(f"cost must be 2-dimensional, got shape {cost.shape}")
+    n, m = cost.shape
+    mask = np.isfinite(cost)
+    if feasible is not None:
+        feasible = np.asarray(feasible, dtype=bool)
+        if feasible.shape != cost.shape:
+            raise ValueError("feasible mask shape must match the cost matrix")
+        mask &= feasible
+    if n == 0 or m == 0 or not mask.any():
+        return Assignment([], list(range(n)), list(range(m)))
+
+    row_deg = mask.sum(axis=1)
+    col_deg = mask.sum(axis=0)
+    # a feasible cell alone in both its row and its column is in every
+    # maximum-cardinality matching at the same cost: settle it directly
+    single = np.flatnonzero(row_deg == 1)
+    single_col = mask[single].argmax(axis=1)
+    alone = col_deg[single_col] == 1
+    forced_r, forced_c = single[alone], single_col[alone]
+    contested_rows = row_deg > 0
+    contested_rows[forced_r] = False
+    rr = np.flatnonzero(contested_rows)
+    if len(rr) == 0:
+        matches = list(zip(forced_r.tolist(), forced_c.tolist()))
+    else:
+        contested_cols = col_deg > 0
+        contested_cols[forced_c] = False
+        cc = np.flatnonzero(contested_cols)
+        # one shift for the whole matrix, so each shifted cost handed to the
+        # solver is the value the full padded matrix would hold
+        usable = cost[mask]
+        span = float(usable.max() - min(0.0, usable.min()))
+        big = span * min(n, m) + 1.0
+        if len(rr) == n and len(cc) == m:
+            matches = _ref_padded_solve(cost, mask, big)
+        else:
+            sub = (rr[:, None], cc)
+            row_of, col_of = rr.tolist(), cc.tolist()
+            matches = sorted(
+                list(zip(forced_r.tolist(), forced_c.tolist()))
+                + [(row_of[r], col_of[c])
+                   for r, c in _ref_padded_solve(cost[sub], mask[sub], big)]
+            )
+
+    matched_rows = {r for r, _ in matches}
+    matched_cols = {c for _, c in matches}
+    return Assignment(
+        matches,
+        [r for r in range(n) if r not in matched_rows],
+        [c for c in range(m) if c not in matched_cols],
+    )
+
+
+def _ref_padded_solve(cost, mask, big) -> list[tuple[int, int]]:
+    """Exact LSAP on the (n+m)^2 embedding: one dummy column per row and one
+    dummy row per column, so leaving an index unmatched costs nothing.
+    Returns the matched (row, col) pairs sorted by row."""
+    n, m = cost.shape
+    padded = np.full((n + m, n + m), np.inf)
+    np.subtract(cost, big, out=padded[:n, :m], where=mask)
+    np.fill_diagonal(padded[:n, m:], 0.0)
+    np.fill_diagonal(padded[n:, :m], 0.0)
+    padded[n:, m:] = 0.0
+    rows, cols = linear_sum_assignment(padded)
+    return [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if r < n and c < m]
 
 
 def padded_full_assignment(cost, feasible=None):

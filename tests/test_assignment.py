@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bytemot.assignment import Assignment, min_cost_assignment, solve
 from bytemot.geometry import iou_matrix_tlbr
-from oracles import dp_assignment, enum_assignment, padded_full_assignment, total_cost
+from oracles import dp_assignment, enum_assignment, padded_full_assignment, ref_solve, total_cost
 
 
 def check_partition(assign: Assignment, n: int, m: int):
@@ -191,6 +191,8 @@ class TestSettledSolveEquivalence:
         card, total = dp_assignment(cost, feasible)
         assert len(a.matches) == card
         assert total_cost(a, cost) == pytest.approx(total, abs=1e-9)
+        # ties included, the flat pass matches the dense-mask solve exactly
+        assert a == ref_solve(cost, feasible)
 
     @settings(max_examples=200, deadline=None)
     @given(box_layouts())
@@ -203,3 +205,49 @@ class TestSettledSolveEquivalence:
         assert (a.matches, a.unmatched_rows, a.unmatched_cols) == (
             padded_full_assignment(cost, feasible)
         )
+
+
+@st.composite
+def cost_problems(draw):
+    """(cost, feasible mask or None) with non-finite entries, sparse or dense
+    masks, repeated costs for ties and empty dimensions."""
+    n, m = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    values = draw(st.sampled_from(["grid", "uniform", "negative"]))
+    if values == "grid":
+        cost = rng.integers(0, 4, size=(n, m)) / 4.0
+    elif values == "uniform":
+        cost = rng.uniform(0.0, 1.0, size=(n, m))
+    else:
+        cost = rng.uniform(-50.0, 50.0, size=(n, m))
+    special = rng.random((n, m)) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    cost[special] = rng.choice([np.inf, -np.inf, np.nan], size=special.sum())
+    density = draw(st.sampled_from([None, 0.05, 0.2, 0.5, 1.0]))
+    feasible = None if density is None else rng.random((n, m)) < density
+    return cost, feasible
+
+
+class TestFlatSolveEquivalence:
+    """The flat pass over feasible cells must return the dense-mask solve's
+    matches, tie-breaks and leftovers exactly."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(cost_problems())
+    def test_solve_equals_reference(self, problem):
+        cost, feasible = problem
+        assert solve(cost, feasible) == ref_solve(cost, feasible)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cost_problems(), st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+    def test_min_cost_assignment_equals_reference(self, problem, min_iou):
+        cost, _ = problem
+        with np.errstate(invalid="ignore"):
+            want = ref_solve(cost, feasible=cost <= 1.0 - min_iou)
+        assert min_cost_assignment(cost, min_iou=min_iou) == want
+
+    def test_non_contiguous_cost(self):
+        rng = np.random.default_rng(5)
+        cost = rng.uniform(0, 1, size=(7, 9))[:, ::2].T
+        feasible = cost < 0.6
+        assert solve(cost, feasible) == ref_solve(cost, feasible)

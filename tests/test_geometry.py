@@ -1,11 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bytemot.geometry import BBox, Detection, _iou_cells, iou, iou_matrix_tlbr
+from bytemot import geometry
+from bytemot.geometry import BOX_LIMIT, BBox, Detection, _iou_cells, iou, iou_matrix_tlbr
 from oracles import iou_matrix_tlbr_dense, rasterized_iou
 
 
@@ -41,6 +43,20 @@ class TestBBox:
         values[field] = value
         with pytest.raises(ValueError, match="finite"):
             BBox(*values)
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_rejects_values_beyond_limit(self, field):
+        # a 1e200 box overflowed the Kalman variances and the IoU areas
+        beyond = math.nextafter(BOX_LIMIT, math.inf)
+        for value in (1e200, beyond, -beyond):
+            values = [1.0, 2.0, 3.0, 4.0]
+            values[field] = value
+            with pytest.raises(ValueError, match="at most 1e\\+09 in absolute value"):
+                BBox(*values)
+
+    def test_accepts_values_at_limit(self):
+        b = BBox(-BOX_LIMIT, BOX_LIMIT, BOX_LIMIT, BOX_LIMIT)
+        assert b.tlwh() == (-BOX_LIMIT, BOX_LIMIT, BOX_LIMIT, BOX_LIMIT)
 
     def test_views(self):
         b = tlwh(3, 4, 8, 8)
@@ -183,21 +199,53 @@ def tlbr_pairs(draw):
     return np.array(a, dtype=float).reshape(-1, 4), np.array(b, dtype=float).reshape(-1, 4)
 
 
+@st.composite
+def gate_layouts(draw):
+    """Prediction rows against detection rows for the overlap gate: boxes on
+    a coarse grid (equal left edges, touching edges, identical boxes), a few
+    rows degenerate (zero or negative extent) or carrying NaN or infinite
+    corners, as motion predictions can."""
+    n, m = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+
+    def rows(k):
+        xy = rng.integers(-6, 6, size=(k, 2)).astype(float)
+        wh = rng.integers(-1, 5, size=(k, 2)).astype(float)
+        out = np.hstack([xy, xy + wh])
+        bad = rng.random(out.shape) < 0.05
+        out[bad] = rng.choice([math.nan, math.inf, -math.inf, -0.0], size=bad.sum())
+        return out
+
+    a = rows(n)
+    b = np.vstack([rows(m), a[rng.integers(0, n, size=min(n, 3))]]) if n else rows(m)
+    return a, b
+
+
 class TestIouMatrixEquivalence:
     """The plane-wise IoU must reproduce the dense (N, M, 2) formula bit for
-    bit, NaN cells and signed zeros included."""
+    bit, NaN cells and signed zeros included, on both sides of the
+    _GATE_CELLS crossover: forced through the overlap gate (crossover 0) and
+    forced through the broadcast (a crossover no matrix reaches)."""
 
     @staticmethod
     def assert_bit_identical(a, b):
         with np.errstate(all="ignore"):
             want = iou_matrix_tlbr_dense(a, b)
-            got = iou_matrix_tlbr(a, b)
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            for cells in (0, 10**18):
+                with mock.patch.object(geometry, "_GATE_CELLS", cells):
+                    got = iou_matrix_tlbr(a, b)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @settings(max_examples=300)
     @given(tlbr_pairs())
     def test_bit_identical_to_dense_formula(self, pair):
+        self.assert_bit_identical(*pair)
+
+    @settings(max_examples=300)
+    @given(gate_layouts())
+    def test_bit_identical_on_grid_layouts(self, pair):
         self.assert_bit_identical(*pair)
 
     def test_bit_identical_on_random_layouts(self):
@@ -208,6 +256,25 @@ class TestIouMatrixEquivalence:
             xy = rng.uniform(0, 200, size=(n + m, 2))
             boxes = np.hstack([xy, xy + rng.uniform(1, 60, size=(n + m, 2))])
             self.assert_bit_identical(boxes[:n], boxes[n:])
+
+    def test_default_crossover_on_crowds(self):
+        # crowds on both sides of the default crossover (70 x 70 broadcasts,
+        # 71 x 71 gates)
+        rng = np.random.default_rng(14)
+        for n in (10, 70, 71, 150):
+            xy = rng.uniform(0, 600, size=(2 * n, 2))
+            boxes = np.hstack([xy, xy + rng.uniform(20, 60, size=(2 * n, 2))])
+            a, b = boxes[:n], boxes[n:] + rng.normal(0, 3, size=(n, 4))
+            got, want = iou_matrix_tlbr(a, b), iou_matrix_tlbr_dense(a, b)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_gate_skips_only_zero_cells(self):
+        # touching edges, equal left edges and a NaN row through the gate
+        a = np.array([[0.0, 0.0, 2.0, 2.0], [2.0, 0.0, 4.0, 2.0], [np.nan, 0.0, 1.0, 1.0]])
+        b = np.array([[0.0, 0.0, 1.0, 2.0], [0.0, 0.0, 2.0, 2.0], [2.0, 2.0, 3.0, 3.0]])
+        with mock.patch.object(geometry, "_GATE_CELLS", 0):
+            got = iou_matrix_tlbr(a, b)
+        assert got.tolist() == [[0.5, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
 
     def test_degenerate_touching_and_identical(self):
         a = np.array([

@@ -160,14 +160,21 @@ class TestUpdate:
 
 
 class TestInvariants:
-    def test_symmetry_preserved_across_random_sequences(self, kf):
+    def test_symmetry_preserved_across_random_sequences(self):
+        # the library's per-axis blocks are symmetric by construction; the
+        # 8x8 reference filter is where symmetry can fail
         rng = np.random.default_rng(99)
-        worst = 0.0
         for _ in range(200):
-            for s in random_ops_sequence(kf, rng, 12):
-                cov = full_cov(s.cov)
-                worst = max(worst, float(np.abs(cov - cov.T).max()))
-        assert worst < 1e-9
+            for s in random_ops_sequence(REF, rng, 12):
+                assert np.array_equal(s.cov, s.cov.T)
+                assert np.all(np.linalg.eigvalsh(s.cov) > 0.0)
+
+    def test_blocks_positive_definite_across_random_sequences(self, kf):
+        rng = np.random.default_rng(99)
+        blocks = np.stack([s.cov for _ in range(200) for s in random_ops_sequence(kf, rng, 12)])
+        p_xx, p_xv, p_vv = blocks.swapaxes(0, 1)
+        assert np.all(p_xx > 0.0) and np.all(p_vv > 0.0)
+        assert np.all(p_xv * p_xv <= p_xx * p_vv * (1.0 + 1e-9))
 
     def test_tracks_constant_velocity_motion(self, kf):
         # one-step-ahead prediction error under noiseless linear motion

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bytemot.geometry import BBox, Detection
+from bytemot.geometry import BOX_LIMIT, BBox, Detection
 from bytemot.mot_io import (
     ParseError,
     dump_from_rows,
@@ -164,6 +164,62 @@ class TestReadResults:
         p.write_text("1,1,10,20,30,40,0.9,-1,-1,-1\n1,2,nan,20,30,40,0.9,-1,-1,-1\n")
         with pytest.raises(ParseError, match=r":2:.*finite"):
             read_results(p)
+
+
+# A valid row of each reader's format, with the fields the bounds tests vary.
+ROWS = {
+    read_detections: "{frame},-1,{left},20,30,{height},0.9,-1,-1,-1\n",
+    read_results: "{frame},{id},{left},20,30,{height},0.9,-1,-1,-1\n",
+    read_gt: "{frame},{id},{left},20,30,{height},1,1,1\n",
+}
+
+
+def bounds_file(tmp_path, reader, **fields):
+    """A two-line file for reader: frame 1, id 1, then frame 2, id 2 with the
+    given fields."""
+    first = {"frame": 1, "id": 1, "left": 10, "height": 40}
+    second = {**first, "frame": 2, "id": 2, **fields}
+    p = tmp_path / "in.txt"
+    p.write_text(ROWS[reader].format(**first) + ROWS[reader].format(**second))
+    return p
+
+
+class TestBounds:
+    """Box values beyond BOX_LIMIT and frames or identities outside int64 are
+    ParseErrors at file:line, not skipped rows or silent conversions."""
+
+    @pytest.mark.parametrize("reader", list(ROWS))
+    @pytest.mark.parametrize("field, value", [
+        ("left", "1e200"), ("left", "-1.000001e9"), ("height", "1e200"), ("height", "-1e200"),
+    ])
+    def test_box_outside_limit_errors_with_line_number(self, tmp_path, reader, field, value):
+        p = bounds_file(tmp_path, reader, **{field: value})
+        with pytest.raises(ParseError, match=r"in\.txt:2:.*at most 1e\+09"):
+            reader(p)
+
+    @pytest.mark.parametrize("reader", list(ROWS))
+    def test_box_at_limit_accepted(self, tmp_path, reader):
+        p = bounds_file(tmp_path, reader, left=f"{-BOX_LIMIT:.1f}", height=f"{BOX_LIMIT:.1f}")
+        assert len(reader(p)) == 2
+
+    @pytest.mark.parametrize("reader", list(ROWS))
+    @pytest.mark.parametrize("value", ["1e19", "-1e19", "9223372036854775808"])
+    def test_frame_outside_int64_errors_with_line_number(self, tmp_path, reader, value):
+        p = bounds_file(tmp_path, reader, frame=value)
+        with pytest.raises(ParseError, match=r"in\.txt:2: frame .*int64"):
+            reader(p)
+
+    @pytest.mark.parametrize("reader", [read_results, read_gt])
+    @pytest.mark.parametrize("value", ["1e19", "-1e19"])
+    def test_identity_outside_int64_errors_with_line_number(self, tmp_path, reader, value):
+        p = bounds_file(tmp_path, reader, id=value)
+        with pytest.raises(ParseError, match=r"in\.txt:2: .*id.* outside the int64 range"):
+            reader(p)
+
+    def test_largest_int64_frame_accepted(self, tmp_path):
+        # 2**63 - 1024 is the largest double below 2**63
+        p = bounds_file(tmp_path, read_detections, frame=str(2**63 - 1024))
+        assert read_detections(p)[1].frame == 2**63 - 1024
 
 
 class TestReadGt:
