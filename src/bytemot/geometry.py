@@ -21,6 +21,12 @@ __all__ = ["BBox", "Detection", "iou", "iou_matrix_tlbr"]
 # far past any image, and small enough that box areas, Kalman variances and
 # their sums stay finite (a 1e200 box overflows both).
 BOX_LIMIT = 1e9
+# The smallest width or height a box may have, in pixels. Far below any real
+# detection, and large enough that the aspect width / height stays finite and
+# that a box at +-BOX_LIMIT still spans many float steps (about 1.2e-7 there),
+# so its edges, centre and size survive the tracker's arithmetic. A 1e-9 box
+# at -1e9 is below that spacing and changes identity every frame.
+BOX_MIN = 1e-3
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,7 +36,7 @@ class BBox:
     Coordinates are real-valued and deliberately unclipped: boxes may extend
     past image borders, which is legitimate for partially visible objects.
     All four values must be finite and at most BOX_LIMIT (1e9) in absolute
-    value, and width and height strictly positive.
+    value, and width and height at least BOX_MIN (1e-3).
     The tlbr (corner pair) and cxcyah (center-x, center-y, aspect w/h, height)
     encodings are derived views of the same box.
     """
@@ -52,9 +58,9 @@ class BBox:
                 f"box values must be finite and at most {BOX_LIMIT:g} in absolute "
                 f"value, got {self.tlwh()}"
             )
-        if not (self.width > 0.0 and self.height > 0.0):
+        if not (self.width >= BOX_MIN and self.height >= BOX_MIN):
             raise ValueError(
-                f"box size must be positive, got {self.width} x {self.height}"
+                f"box size must be at least {BOX_MIN:g}, got {self.width} x {self.height}"
             )
 
     @classmethod

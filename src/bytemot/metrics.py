@@ -32,9 +32,14 @@ evaluate check it on entry. Frames and ground-truth identities are indexed as
 int64; values outside that range raise ValueError. Memory: only the index
 columns (a few words per row) span the sequence; box edges, sorted copies,
 candidate windows and pair arrays exist for one block, and candidates are
-scored in batches of _PAIR_CHUNK. evaluate builds the index once and shares
-it with its clear_mot and idf1 calls; each of them reads the boxes block by
-block on its own.
+scored in batches of _PAIR_CHUNK.
+
+evaluate builds the index once and shares it with its clear_mot and idf1
+calls, so each box is read and each block gated once per evaluate: clear_mot
+keeps every block's table on the shared index and idf1 counts its weights
+from those (at iou_min 0 idf1 still lists every same-frame pair). Under the
+shared index clear_mot also builds no matches_by_frame, which evaluate does
+not report; a direct clear_mot call returns it in full.
 """
 
 from __future__ import annotations
@@ -191,11 +196,16 @@ class _Index:
     ``frames`` lists every frame with considered ground truth or predictions,
     and the ``*_start``/``*_end`` lists slice each side's rows per frame. The
     other box edges are read a block of frames at a time (``blocks``).
+
+    evaluate's index is ``shared``: clear_mot builds no trace on it and keeps
+    the blocks' tables in ``tables`` once it has read every block.
     """
 
-    def __init__(self, gt: list[GtEntry], pred: TrackDump):
+    def __init__(self, gt: list[GtEntry], pred: TrackDump, shared: bool = False):
         self.gt = gt
         self.pred = pred
+        self.shared = shared
+        self.tables: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
         frame = _int_column(gt, _FRAME, "ground-truth frame")
         considered = np.fromiter(map(_CONSIDERED, gt), bool, len(gt))
         self.gt_rows = _grouped(frame, considered)
@@ -238,6 +248,18 @@ class _Index:
             f1 = max(f0 + 1, int(np.searchsorted(rows_end, budget, "right")))
             yield _Block(self, f0, f1)
             f0 = f1
+
+    def block_tables(self):
+        """Each block with its table; a shared index keeps the tables once
+        the last block is read."""
+        kept = []
+        for block in self.blocks():
+            table = block.table()
+            if self.shared:
+                kept.append(table)
+            yield block, table
+        if self.shared:
+            self.tables = kept
 
 
 class _Block:
@@ -318,8 +340,7 @@ def clear_mot(
     last_pred: dict[int, int] = {}
     trace: dict[int, list[tuple[int, int]]] = {}
 
-    for block in index.blocks():
-        g_rows, p_ranks, ious = block.table()
+    for block, (g_rows, p_ranks, ious) in index.block_tables():
         # (gt row * n_pred + pred rank) -> IoU, for the block's positive pairs
         overlap = dict(zip((g_rows * n_pred + p_ranks).tolist(), ious.tolist()))
         g0, p0 = block.g0, index.pred_start[block.f0]
@@ -384,7 +405,9 @@ def clear_mot(
             else:
                 fp += len(loose_preds)
 
-            trace[index.frames[f]] = [(gid, pred_ids[j]) for gid, j in sorted(current.items())]
+            # evaluate reads the counts only
+            if not index.shared:
+                trace[index.frames[f]] = [(gid, pred_ids[j]) for gid, j in sorted(current.items())]
             prev_matches = current
 
     return ClearResult(
@@ -403,14 +426,18 @@ def idf1(gt: list[GtEntry], pred: TrackDump, iou_min: float = 0.5) -> IdfResult:
     _check_iou_min(iou_min)
     index = _index(gt, pred)
     weights = np.zeros((len(index.gt_ids), len(index.pred_ids)))
-    # at iou_min 0 every same-frame pair counts, disjoint ones included
-    keep_all = iou_min == 0.0
-    for block in index.blocks():
-        for g_rows, p_ranks, ious in block.all_pairs() if keep_all else [block.table()]:
-            hit = ious >= iou_min
-            gt_rank = np.searchsorted(index.gt_ids, index.gt_id[g_rows[hit]])
-            cells, counts = np.unique(gt_rank * weights.shape[1] + p_ranks[hit], return_counts=True)
-            weights.reshape(-1)[cells] += counts
+    if iou_min == 0.0:
+        # every same-frame pair counts, disjoint ones included
+        tables = chain.from_iterable(block.all_pairs() for block in index.blocks())
+    elif index.tables is not None:
+        tables = index.tables  # kept by clear_mot under evaluate
+    else:
+        tables = (table for _, table in index.block_tables())
+    for g_rows, p_ranks, ious in tables:
+        hit = ious >= iou_min
+        gt_rank = np.searchsorted(index.gt_ids, index.gt_id[g_rows[hit]])
+        cells, counts = np.unique(gt_rank * weights.shape[1] + p_ranks[hit], return_counts=True)
+        weights.reshape(-1)[cells] += counts
 
     idtp = 0
     if weights.size:
@@ -430,9 +457,10 @@ def evaluate(
     ignore_unconsidered: bool = True,
 ) -> EvalResult:
     """CLEAR counts and IDF1 for one sequence, combined into an EvalResult;
-    both read one index of the sequence."""
+    both read one shared index of the sequence, whose blocks are gated once
+    (and read once when iou_min > 0)."""
     _check_iou_min(iou_min)
-    index = _Index(gt, pred)
+    index = _Index(gt, pred, shared=True)
     token = _shared_index.set(index)
     try:
         clear = clear_mot(gt, pred, iou_min=iou_min, ignore_unconsidered=ignore_unconsidered)

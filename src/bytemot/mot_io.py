@@ -9,11 +9,12 @@ ground truth frame,id,left,top,w,h[,flag[,class[,visibility]]]
 Files are UTF-8; both LF and CRLF line endings are accepted and LF is
 emitted. Every input line either yields a record or a diagnostic carrying
 its line number: malformed lines (including NaN or infinite box values or
-confidences, box values beyond geometry.BOX_LIMIT in absolute value, integer
-fields outside the int64 range, a ground-truth visibility that is NaN or
-outside [0, 1], and a ground-truth identity repeated within a frame) raise
-ParseError, rows with non-positive box sizes are skipped with a warning, and
-confidences outside [0, 1] are clamped with a warning.
+confidences, box values beyond geometry.BOX_LIMIT in absolute value, positive
+box sizes below geometry.BOX_MIN, integer fields outside the int64 range, a
+ground-truth visibility that is NaN or outside [0, 1], and a ground-truth
+identity repeated within a frame) raise ParseError, rows with non-positive box
+sizes are skipped with a warning, and confidences outside [0, 1] are clamped
+with a warning.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ def _box(path, lineno: int, left, top, width, height) -> BBox | None:
     try:
         return BBox(left, top, width, height)
     except ValueError as exc:
-        if not all(abs(v) <= BOX_LIMIT for v in (left, top, width, height)):
+        if (width > 0.0 and height > 0.0
+                or not all(abs(v) <= BOX_LIMIT for v in (left, top, width, height))):
             raise ParseError(f"{path}:{lineno}: {exc}") from None
     logger.warning(
         "%s:%d: skipping row with non-positive box size %.6g x %.6g",

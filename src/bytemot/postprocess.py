@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import BBox, Detection, iou
+from .geometry import BOX_MIN, BBox, Detection, iou
 
 __all__ = ["TrackEntry", "TrackDump", "DEFAULT_SIGMA", "interpolate", "filter_public"]
 
@@ -59,14 +59,19 @@ def interpolate(tracks: TrackDump, sigma: int = DEFAULT_SIGMA) -> TrackDump:
                 l2, t2, r2, b2 = cur.box.tlbr()
                 for f in range(prev.frame + 1, cur.frame):
                     w = (f - prev.frame) / gap
+                    left = l1 + (l2 - l1) * w
+                    top = t1 + (t2 - t1) * w
+                    # the sizes lie between the two boxes' sizes but are
+                    # differences of rounded edges, which can fall a float
+                    # step below BOX_MIN far from the origin
                     filled.append(
                         TrackEntry(
                             frame=f,
-                            box=BBox.from_tlbr(
-                                l1 + (l2 - l1) * w,
-                                t1 + (t2 - t1) * w,
-                                r1 + (r2 - r1) * w,
-                                b1 + (b2 - b1) * w,
+                            box=BBox(
+                                left,
+                                top,
+                                max(r1 + (r2 - r1) * w - left, BOX_MIN),
+                                max(b1 + (b2 - b1) * w - top, BOX_MIN),
                             ),
                             score=prev.score + (cur.score - prev.score) * w,
                             interpolated=True,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bytemot import geometry
-from bytemot.geometry import BOX_LIMIT, BBox, Detection, _iou_cells, iou, iou_matrix_tlbr
+from bytemot.geometry import BOX_LIMIT, BOX_MIN, BBox, Detection, _iou_cells, iou, iou_matrix_tlbr
 from oracles import iou_matrix_tlbr_dense, rasterized_iou
 
 
@@ -35,6 +35,18 @@ class TestBBox:
             BBox(0, 0, 0, 10)
         with pytest.raises(ValueError):
             BBox(0, 0, 10, -1)
+
+    @pytest.mark.parametrize("size", [(1e9, 1e-300), (1e-9, 1e-9), (5e-4, 10.0),
+                                      (10.0, math.nextafter(BOX_MIN, 0.0))])
+    def test_rejects_sizes_below_minimum(self, size):
+        # a 1e9 x 1e-300 box had an infinite aspect, and a stationary one
+        # got a new identity every frame
+        with pytest.raises(ValueError, match="at least 0.001"):
+            BBox(0, 0, *size)
+
+    def test_accepts_minimum_size(self):
+        b = BBox(-BOX_LIMIT, BOX_LIMIT, BOX_MIN, BOX_MIN)
+        assert math.isfinite(b.cxcyah()[2])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", range(4))

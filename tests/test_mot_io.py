@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bytemot.geometry import BOX_LIMIT, BBox, Detection
+from bytemot.geometry import BOX_LIMIT, BOX_MIN, BBox, Detection
 from bytemot.mot_io import (
     ParseError,
     dump_from_rows,
@@ -185,8 +185,9 @@ def bounds_file(tmp_path, reader, **fields):
 
 
 class TestBounds:
-    """Box values beyond BOX_LIMIT and frames or identities outside int64 are
-    ParseErrors at file:line, not skipped rows or silent conversions."""
+    """Box values beyond BOX_LIMIT, positive sizes below BOX_MIN and frames or
+    identities outside int64 are ParseErrors at file:line, not skipped rows or
+    silent conversions."""
 
     @pytest.mark.parametrize("reader", list(ROWS))
     @pytest.mark.parametrize("field, value", [
@@ -196,6 +197,25 @@ class TestBounds:
         p = bounds_file(tmp_path, reader, **{field: value})
         with pytest.raises(ParseError, match=r"in\.txt:2:.*at most 1e\+09"):
             reader(p)
+
+    @pytest.mark.parametrize("reader", list(ROWS))
+    @pytest.mark.parametrize("value", ["1e-300", "0.0009", "5e-324"])
+    def test_positive_size_below_minimum_errors_with_line_number(self, tmp_path, reader, value):
+        p = bounds_file(tmp_path, reader, height=value)
+        with pytest.raises(ParseError, match=r"in\.txt:2:.*at least 0\.001"):
+            reader(p)
+
+    @pytest.mark.parametrize("reader", list(ROWS))
+    def test_non_positive_size_still_skipped(self, tmp_path, reader, caplog):
+        p = bounds_file(tmp_path, reader, height="-0.0005")
+        with caplog.at_level(logging.WARNING):
+            assert len(reader(p)) == 1
+        assert "in.txt:2: skipping row with non-positive box size" in caplog.text
+
+    @pytest.mark.parametrize("reader", list(ROWS))
+    def test_box_at_minimum_accepted(self, tmp_path, reader):
+        p = bounds_file(tmp_path, reader, height=repr(BOX_MIN))
+        assert len(reader(p)) == 2
 
     @pytest.mark.parametrize("reader", list(ROWS))
     def test_box_at_limit_accepted(self, tmp_path, reader):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bytemot.geometry import BBox, Detection
+from bytemot.geometry import BOX_MIN, BBox, Detection
 from bytemot.postprocess import TrackEntry, filter_public, interpolate
 from oracles import linear_interp_scalar
 
@@ -82,6 +82,16 @@ class TestInterpolate:
             assert np.all(np.asarray(e.box.tlbr()) >= lo - 1e-12)
             assert np.all(np.asarray(e.box.tlbr()) <= hi + 1e-12)
             assert min(e1.score, e2.score) - 1e-12 <= e.score <= max(e1.score, e2.score) + 1e-12
+
+    @pytest.mark.parametrize("left", [5e8 + 0.17363, -5e8 - 0.3, -3e8 - 0.9])
+    def test_minimum_size_boxes_far_from_origin(self, left):
+        # right - left of a BOX_MIN box rounds to just below BOX_MIN here
+        box = BBox(left, -left, BOX_MIN, BOX_MIN)
+        out = interpolate({1: [TrackEntry(1, box, 0.9), TrackEntry(3, box, 0.9)]})
+        mid = out[1][1].box
+        assert (mid.left, mid.top) == (box.left, box.top)
+        assert mid.width == pytest.approx(BOX_MIN, rel=1e-3)
+        assert mid.height == pytest.approx(BOX_MIN, rel=1e-3)
 
     def test_sigma_zero_is_identity(self):
         dump = {1: [entry(1, (0, 0, 10, 10)), entry(5, (5, 0, 15, 10))]}

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bytemot.cli import run_tracker
-from bytemot.geometry import BBox, Detection
+from bytemot.geometry import BOX_LIMIT, BOX_MIN, BBox, Detection
 from bytemot.synth import ablation_corpus, generate
 from bytemot.tracker import (
     ByteTracker,
@@ -108,6 +108,21 @@ class TestStepBasics:
         tracker.step(np.int64(1), [det(1, 0, 0, 5, 5, 0.9)])
         out = tracker.step(np.int32(2), [det(np.int64(2), 0, 0, 5, 5, 0.9)])
         assert [o.track_id for o in out.outputs] == [1]
+
+    @pytest.mark.parametrize("box", [
+        (-BOX_LIMIT, -BOX_LIMIT, BOX_MIN, BOX_MIN),
+        (BOX_LIMIT - BOX_MIN, BOX_LIMIT - BOX_MIN, BOX_MIN, BOX_MIN),
+        (0.0, 0.0, BOX_LIMIT, BOX_MIN),
+        (0.0, 0.0, BOX_MIN, BOX_LIMIT),
+        (-BOX_LIMIT, BOX_LIMIT - BOX_MIN, BOX_LIMIT, BOX_MIN),
+        (BOX_LIMIT - BOX_MIN, -BOX_LIMIT, BOX_MIN, BOX_LIMIT),
+    ])
+    def test_stationary_extreme_box_keeps_identity(self, box):
+        # the smallest sizes at the largest coordinates still span many float
+        # steps, so a box that does not move stays matched
+        with np.errstate(all="raise"):
+            _, results = run_stream([[det(f, *box, 0.9)] for f in range(1, 6)])
+        assert [[o.track_id for o in r.outputs] for r in results] == [[1]] * 5
 
     def test_birth_and_emit(self):
         _, results = run_stream([[det(1, 10, 10, 20, 40, 0.9)]])
