@@ -5,8 +5,8 @@ it first maximizes cardinality, then minimizes total cost. Infeasibility is
 enforced before solving, never by pruning an unconstrained optimum, so a
 rejected pairing can never shadow a feasible alternative.
 
-Implementation: one flat pass (``np.flatnonzero`` of the mask, split into
-rows and columns by integer division) lists the feasible cells; finiteness is
+Implementation: one flat pass (the nonzero cells of the flattened mask, split
+into rows and columns by ``np.divmod``) lists the feasible cells; finiteness is
 checked on those cells only, and the degrees, the settled pairs, the cost
 shift and the padded matrix are all built from that list. Beside the mask
 (the caller's, or the cost's finiteness when none is given), the only dense
@@ -78,7 +78,7 @@ def solve(cost, feasible=None) -> Assignment:
         return _empty(n, m)
 
     mask = np.isfinite(cost) if feasible is None else feasible
-    if mask.all() and (feasible is None or np.isfinite(cost).all()):
+    if np.count_nonzero(mask) == n * m and (feasible is None or np.isfinite(cost).all()):
         # every cell is feasible (idf1's weights): nothing can be settled
         # unless the matrix is 1 x 1, whose cell the solve matches anyway,
         # so the cost matrix goes to the padded solve whole
@@ -86,46 +86,40 @@ def solve(cost, feasible=None) -> Assignment:
         return _settled(_padded_solve(n, m, slice(0, n), slice(0, m), cost - big), n, m)
     # the feasible cells as (row, col, cost) triples in row-major order, from
     # one flat pass; finiteness is checked only on the cells found
-    cells = np.flatnonzero(mask)
+    cells = mask.reshape(-1).nonzero()[0]
     values = cost.reshape(-1)[cells]
     if feasible is not None:
         finite = np.isfinite(values)
-        if not finite.all():
+        if np.count_nonzero(finite) < len(cells):
             cells, values = cells[finite], values[finite]
     if not len(cells):
         return _empty(n, m)
-    # rows, then the columns in place of the flat indices: one fewer
-    # temporary of the triples' length
-    rows = cells // m
-    cols = np.remainder(cells, m, out=cells)
+    rows, cols = np.divmod(cells, m)
 
     row_deg = np.bincount(rows, minlength=n)
     col_deg = np.bincount(cols, minlength=m)
     # a feasible cell alone in both its row and its column is in every
     # maximum-cardinality matching at the same cost: settle it directly. When
-    # every degree is at most 1, every cell is such a pair (the common case
-    # in small scenes); otherwise a row of degree 1 holds one cell, at its
-    # row's start in the triples.
-    if row_deg.max() == 1 and col_deg.max() == 1:
+    # as many rows and as many columns hold a cell as there are cells, every
+    # cell is such a pair (the common case in small scenes).
+    if np.count_nonzero(row_deg) == len(cells) == np.count_nonzero(col_deg):
         return _settled(list(zip(rows.tolist(), cols.tolist())), n, m)
-    single = np.flatnonzero(row_deg == 1)
-    at = (np.cumsum(row_deg) - row_deg)[single]
-    alone = col_deg[cols[at]] == 1
-    at = at[alone]
-    forced = list(zip(single[alone].tolist(), cols[at].tolist()))
+    alone = (row_deg[rows] == 1) & (col_deg[cols] == 1)
+    forced_rows, forced_cols = rows[alone], cols[alone]
+    forced = list(zip(forced_rows.tolist(), forced_cols.tolist()))
     # one shift for the whole matrix, so each shifted cost handed to the
     # solver is the value the full padded matrix would hold
     span = float(values.max() - min(0.0, values.min()))
     big = span * min(n, m) + 1.0
-    if len(at):
-        contested = np.ones(len(rows), dtype=bool)
-        contested[at] = False
+    if forced:
+        contested = ~alone
         rows, cols, values = rows[contested], cols[contested], values[contested]
-        row_deg = np.bincount(rows, minlength=n)
-        col_deg = np.bincount(cols, minlength=m)
+        # a settled cell was its row's and its column's only one
+        row_deg[forced_rows] = 0
+        col_deg[forced_cols] = 0
     values -= big
     # the contested rows and columns, and each cell's index among them
-    rr, cc = np.flatnonzero(row_deg), np.flatnonzero(col_deg)
+    rr, cc = row_deg.nonzero()[0], col_deg.nonzero()[0]
     if len(rr) < n:
         rows = np.searchsorted(rr, rows)
     if len(cc) < m:

@@ -156,10 +156,12 @@ def iou_matrix_tlbr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n, m = a.shape[0], b.shape[0]
     if n == 0 or m == 0:
         return np.zeros((n, m), dtype=float)
+    # contiguous edge rows: numpy's loops run faster on them than on a.T's
+    a, b = a.T.copy(), b.T.copy()
     if n * m < _GATE_CELLS:
-        return _iou_cells(a.T[:, :, None], b.T[:, None, :])
+        return _iou_cells(a[:, :, None], b[:, None, :])
     out = np.zeros((n, m), dtype=float)
-    rows, cols, ious = _overlaps(a.T, b.T)
+    rows, cols, ious = _overlaps(a, b)
     out[rows, cols] = ious
     return out
 
@@ -220,7 +222,8 @@ def _overlaps(a, b, a_frame=None, b_frame=None, chunk: int = _PAIR_CHUNK):
         # raise glibc's mmap threshold and leave heap residue behind
         near = (b[2, cols] > a[0, rows]) & (b[3, cols] > a[1, rows]) & (b[1, cols] < a[3, rows])
         rows, cols = rows[near], cols[near]
-        ious = _iou_cells(a[:, rows], b[:, cols])
+        # take gathers C-ordered edge rows, which _iou_cells runs faster on
+        ious = _iou_cells(a.take(rows, axis=1), b.take(cols, axis=1))
         keep = ious > 0.0
         parts.append((rows[keep], cols[keep], ious[keep]))
     if len(parts) == 1:
@@ -235,21 +238,15 @@ def _iou_cells(a, b) -> np.ndarray:
     broadcast against each other: (N, 1) against (1, M) edges give
     iou_matrix_tlbr's matrix, equal-length rows give row-wise pairs. Cells
     whose union is not positive (or is NaN) are 0."""
-    al, at, ar, ab = a
-    bl, bt, br, bb = b
-    # per axis max(min(right) - max(left), 0) on the broadcast planes, in
-    # place; each cell sees the operations of the (N, M, 2) formula in the
-    # same order, so the matrix is bit-identical to it
-    iw = np.minimum(ar, br)
-    iw -= np.maximum(al, bl)
-    np.maximum(iw, 0.0, out=iw)
-    ih = np.minimum(ab, bb)
-    ih -= np.maximum(at, bt)
-    np.maximum(ih, 0.0, out=ih)
-    inter = np.multiply(iw, ih, out=iw)
-    area_a = np.maximum(ar - al, 0.0) * np.maximum(ab - at, 0.0)
-    area_b = np.maximum(br - bl, 0.0) * np.maximum(bb - bt, 0.0)
-    union = np.add(area_a, area_b, out=ih)
+    # per axis max(min(right) - max(left), 0), x and y stacked, in place;
+    # each cell sees the operations of the (N, M, 2) formula in the same
+    # order, so the matrix is bit-identical to it
+    overlap = np.minimum(a[2:], b[2:])
+    overlap -= np.maximum(a[:2], b[:2])
+    np.maximum(overlap, 0.0, out=overlap)
+    inter, union = overlap
+    np.multiply(inter, union, out=inter)
+    size_a, size_b = np.maximum(a[2:] - a[:2], 0.0), np.maximum(b[2:] - b[:2], 0.0)
+    np.add(size_a[0] * size_a[1], size_b[0] * size_b[1], out=union)
     union -= inter
-    positive = union > 0.0
-    return np.divide(inter, union, out=np.zeros_like(union), where=positive)
+    return np.divide(inter, union, out=np.zeros(union.shape), where=union > 0.0)

@@ -17,6 +17,10 @@ A batch of beliefs and a single one run through the same code (``predict``
 and ``update`` are the names for single use), and a row's result does not
 depend on the other rows of its batch. The operations never write to the
 state they are given and return fresh arrays that the caller owns.
+
+``MotionState(mean, cov)`` checks its arrays. The filter's results and the
+tracker's gathers of them are float64 of matching shapes by construction, so
+``MotionState._of`` holds them without checking them again.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 __all__ = ["MotionState", "KalmanFilter"]
 
 NDIM = 4
+_INIT_SCALE = np.array([2.0, 2.0, 1.0, 2.0, 10.0, 10.0, 1.0, 10.0])  # initiate's std inflation
 
 
 @dataclass(frozen=True)
@@ -63,14 +68,22 @@ class MotionState:
     def __getitem__(self, rows) -> MotionState:
         return MotionState(self.mean[rows], self.cov[rows])
 
+    @classmethod
+    def _of(cls, mean: np.ndarray, cov: np.ndarray) -> MotionState:
+        """Hold built float64 arrays of matching shapes without the checks."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "mean", mean)
+        object.__setattr__(state, "cov", cov)
+        return state
+
 
 class KalmanFilter:
     """Constant-velocity filter with height-scaled noise.
 
     pos_weight scales position-like stds, vel_weight velocity-like stds, both
-    relative to the current box height. Initiation inflates position stds by
-    2x and velocity stds by 10x. Aspect-ratio components use the constant
-    stds aspect_pos_std / aspect_vel_std instead of height scaling.
+    relative to the current box height (both read at construction). Initiation
+    inflates position stds by 2x and velocity stds by 10x. Aspect-ratio
+    components use the constant stds aspect_pos_std / aspect_vel_std instead.
     """
 
     def __init__(
@@ -84,16 +97,19 @@ class KalmanFilter:
         self.vel_weight = float(vel_weight)
         self.aspect_pos_std = float(aspect_pos_std)
         self.aspect_vel_std = float(aspect_vel_std)
+        pw, vw = self.pos_weight, self.vel_weight  # the stds' height factors
+        self._weights = np.array([pw, pw, 0.0, pw, vw, vw, 0.0, vw])
 
-    def _variances(self, h, pos_scale: float = 1.0, vel_scale: float = 1.0) -> np.ndarray:
-        """Per-row noise variances (..., 8) for heights h, positions first;
-        the aspect stds are constant and never scaled."""
-        std = np.empty(np.shape(h) + (2 * NDIM,))
-        std[..., 0] = std[..., 1] = std[..., 3] = self.pos_weight * h * pos_scale
-        std[..., 4] = std[..., 5] = std[..., 7] = self.vel_weight * h * vel_scale
+    def _variances(self, h, scale=None) -> np.ndarray:
+        """Per-row noise variances (..., 8) for heights h, positions first:
+        each std is (weight * h) * scale, except the aspect stds, which are
+        constant and never scaled."""
+        std = h[..., None] * self._weights
+        if scale is not None:
+            std *= scale
         std[..., 2] = self.aspect_pos_std
         std[..., 6] = self.aspect_vel_std
-        return std * std
+        return np.square(std, out=std)
 
     def initiate(self, measurements) -> MotionState:
         """Create states from unassociated (cx, cy, a, h) measurements, one
@@ -106,11 +122,11 @@ class KalmanFilter:
             raise ValueError(f"expected (N, 4) or (4,) measurements, got shape {m.shape}")
         if np.any(m[..., 3] <= 0.0):
             raise ValueError(f"measurement heights must be positive, got {m[..., 3]}")
-        var = self._variances(m[..., 3], 2.0, 10.0)
+        mean = np.zeros(m.shape[:-1] + (2 * NDIM,))
+        mean[..., :NDIM] = m
         cov = np.zeros(m.shape[:-1] + (3, NDIM))
-        cov[..., 0, :] = var[..., :NDIM]
-        cov[..., 2, :] = var[..., NDIM:]
-        return MotionState(np.concatenate([m, np.zeros(m.shape)], axis=-1), cov)
+        cov[..., ::2, :] = self._variances(m[..., 3], _INIT_SCALE).reshape(cov[..., ::2, :].shape)
+        return MotionState._of(mean, cov)
 
     def predict_many(self, states: MotionState) -> MotionState:
         """Advance every belief one frame under the constant-velocity model."""
@@ -118,13 +134,14 @@ class KalmanFilter:
         q = self._variances(np.maximum(states.mean[..., 3], 1e-3))
         mean = states.mean.copy()
         mean[..., :NDIM] += mean[..., NDIM:]
-        # the rows p_xx, p_xv and p_vv, of one belief or across the batch
+        # the rows p_xx, p_xv and p_vv, of one belief or across the batch;
+        # p_xv + p_vv is row 1 and a term of row 0
         p_xx, p_xv, p_vv = states.cov.swapaxes(0, -2)
         cov = np.empty_like(states.cov)
-        cov[..., 0, :] = (p_xx + p_xv) + (p_xv + p_vv) + q[..., :NDIM]
-        cov[..., 1, :] = p_xv + p_vv
+        cov[..., 1, :] = xv = p_xv + p_vv
+        cov[..., 0, :] = (p_xx + p_xv) + xv + q[..., :NDIM]
         cov[..., 2, :] = p_vv + q[..., NDIM:]
-        return MotionState(mean, cov)
+        return MotionState._of(mean, cov)
 
     def update_many(self, states: MotionState, measurements) -> MotionState:
         """Correct every belief with its associated (cx, cy, a, h) measurement,
@@ -134,14 +151,16 @@ class KalmanFilter:
         s = p_xx + self._variances(np.maximum(states.mean[..., 3], 1e-3))[..., :NDIM]
         # p * (1 / s) rather than p / s, and p_xv as the average of the two
         # unequal off-diagonal products, give the 8x8 reference filter's bytes
-        k_x, k_v = p_xx * (1.0 / s), p_xv * (1.0 / s)
+        inv = 1.0 / s
+        k_x, k_v = p_xx * inv, p_xv * inv
         innovation = zs - states.mean[..., :NDIM]
         mean = states.mean + np.concatenate([k_x * innovation, k_v * innovation], axis=-1)
+        xs, vs = k_x * s, k_v * s
         cov = np.empty_like(states.cov)
-        cov[..., 0, :] = p_xx - (k_x * s) * k_x
-        cov[..., 1, :] = ((p_xv - (k_x * s) * k_v) + (p_xv - (k_v * s) * k_x)) / 2.0
-        cov[..., 2, :] = p_vv - (k_v * s) * k_v
-        return MotionState(mean, cov)
+        cov[..., 0, :] = p_xx - xs * k_x
+        cov[..., 1, :] = ((p_xv - xs * k_v) + (p_xv - vs * k_x)) / 2.0
+        cov[..., 2, :] = p_vv - vs * k_v
+        return MotionState._of(mean, cov)
 
     predict = predict_many
     update = update_many

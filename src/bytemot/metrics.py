@@ -37,9 +37,9 @@ scored in batches of _PAIR_CHUNK.
 evaluate builds the index once and shares it with its clear_mot and idf1
 calls, so each box is read and each block gated once per evaluate: clear_mot
 keeps every block's table on the shared index and idf1 counts its weights
-from those (at iou_min 0 idf1 still lists every same-frame pair). Under the
-shared index clear_mot also builds no matches_by_frame, which evaluate does
-not report; a direct clear_mot call returns it in full.
+from those (at iou_min 0 idf1 lists every same-frame pair; no table is
+kept). Under the shared index clear_mot also builds no matches_by_frame,
+which evaluate does not report; a direct clear_mot call returns it in full.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ class _Index:
     other box edges are read a block of frames at a time (``blocks``).
 
     evaluate's index is ``shared``: clear_mot builds no trace on it and keeps
-    the blocks' tables in ``tables`` once it has read every block.
+    the blocks' tables in ``tables`` for idf1 (only at iou_min > 0).
     """
 
     def __init__(self, gt: list[GtEntry], pred: TrackDump, shared: bool = False):
@@ -249,16 +249,17 @@ class _Index:
             yield _Block(self, f0, f1)
             f0 = f1
 
-    def block_tables(self):
-        """Each block with its table; a shared index keeps the tables once
-        the last block is read."""
+    def block_tables(self, keep: bool):
+        """Each block with its table; a shared index keeps the tables, if
+        asked to, once the last block is read."""
+        keep = keep and self.shared
         kept = []
         for block in self.blocks():
             table = block.table()
-            if self.shared:
+            if keep:
                 kept.append(table)
             yield block, table
-        if self.shared:
+        if keep:
             self.tables = kept
 
 
@@ -295,7 +296,7 @@ class _Block:
         lo = np.searchsorted(self.pred_frame, self.gt_frame, "left")
         hi = np.searchsorted(self.pred_frame, self.gt_frame, "right")
         for g_rows, p_rows in _windows(lo, hi, _PAIR_CHUNK):
-            ious = _iou_cells(gb[:, g_rows], pb[:, p_rows])
+            ious = _iou_cells(gb.take(g_rows, axis=1), pb.take(p_rows, axis=1))
             yield self.g0 + g_rows, self.pred_rank[p_rows], ious
 
 
@@ -340,7 +341,7 @@ def clear_mot(
     last_pred: dict[int, int] = {}
     trace: dict[int, list[tuple[int, int]]] = {}
 
-    for block, (g_rows, p_ranks, ious) in index.block_tables():
+    for block, (g_rows, p_ranks, ious) in index.block_tables(keep=iou_min > 0.0):
         # (gt row * n_pred + pred rank) -> IoU, for the block's positive pairs
         overlap = dict(zip((g_rows * n_pred + p_ranks).tolist(), ious.tolist()))
         g0, p0 = block.g0, index.pred_start[block.f0]
@@ -432,7 +433,7 @@ def idf1(gt: list[GtEntry], pred: TrackDump, iou_min: float = 0.5) -> IdfResult:
     elif index.tables is not None:
         tables = index.tables  # kept by clear_mot under evaluate
     else:
-        tables = (table for _, table in index.block_tables())
+        tables = (table for _, table in index.block_tables(keep=False))
     for g_rows, p_ranks, ious in tables:
         hit = ious >= iou_min
         gt_rank = np.searchsorted(index.gt_ids, index.gt_id[g_rows[hit]])

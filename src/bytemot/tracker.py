@@ -20,12 +20,13 @@ Live tracks are a table of columns with one row per track, oldest (lowest id)
 first: the Kalman beliefs as one MotionState batch (mean (N, 8), cov
 (N, 3, 4)), the ids, the first and last matched frames, and each track's last
 matched Detection, whose box and score are what the track emits. A frame
-predicts the whole batch in one call; each stage gathers the rows it matched,
-updates them in one call and scatters them back. Going lost, removal and
-emission are masks over the table, and births are initiated in one batch and
-appended. Whether a track is tracked is not stored: a track goes lost in the
-first frame it is not matched, so the tracked rows are exactly those whose
-last matched frame is the latest frame processed.
+predicts the whole batch in one call, and both stages match against those
+predictions; the rows either stage matched are then gathered, updated in one
+call and scattered back. Going lost, removal and emission are masks over the
+table, and births are initiated in one batch and appended. Whether a track is
+tracked is not stored: a track goes lost in the first frame it is not
+matched, so the tracked rows are exactly those whose last matched frame is
+the latest frame processed.
 """
 
 from __future__ import annotations
@@ -160,9 +161,10 @@ def split_by_score(
 
 def _tlbr(mean: np.ndarray) -> np.ndarray:
     """Corner boxes (N, 4) of the (cx, cy, a, h) part of the beliefs."""
-    cx, cy, a, h = mean[:, 0], mean[:, 1], mean[:, 2], mean[:, 3]
-    w = a * h
-    return np.stack([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0], axis=1)
+    half = mean[:, 2:4].copy()
+    half[:, 0] *= mean[:, 3]  # the width a * h
+    half /= 2.0
+    return np.concatenate([mean[:, :2] - half, mean[:, :2] + half], axis=1)
 
 
 _STATES = (TrackState.LOST, TrackState.TRACKED)  # indexed by "is tracked"
@@ -200,28 +202,16 @@ class ByteTracker:
         predicted: np.ndarray,
         dets: list[Detection],
         min_iou: float,
-        frame: int,
-    ) -> tuple[np.ndarray, list[int]]:
-        """Match dets against the given table rows; returns (unmatched rows,
-        unmatched det indices). Matched rows are updated in place."""
+    ) -> tuple[np.ndarray, list[Detection], np.ndarray, list[int]]:
+        """Match dets against the given table rows; returns the matched rows,
+        their detections, the unmatched rows and the unmatched det indices."""
         if not len(rows) or not dets:
-            return rows, list(range(len(dets)))
+            return rows[:0], [], rows, list(range(len(dets)))
         sim = iou_matrix_tlbr(predicted[rows], np.array([d.box.tlbr() for d in dets]))
         assign = min_cost_assignment(1.0 - sim, min_iou=min_iou)
-        if assign.matches:
-            hit_rows, hit_dets = zip(*assign.matches)
-            hit = rows[list(hit_rows)]
-            matched = [dets[c] for c in hit_dets]
-            # rebirth updates the prior belief (not a new one), so the
-            # velocity learned before the object went lost carries over
-            motion = self.kalman.update_many(
-                self._motion[hit], [d.box.cxcyah() for d in matched]
-            )
-            self._motion.mean[hit] = motion.mean
-            self._motion.cov[hit] = motion.cov
-            self._last[hit] = frame
-            self._det[hit] = matched
-        return rows[assign.unmatched_rows], list(assign.unmatched_cols)
+        hit_rows, hit_dets = zip(*assign.matches) if assign.matches else ((), ())
+        return (rows[list(hit_rows)], [dets[c] for c in hit_dets],
+                rows[assign.unmatched_rows], assign.unmatched_cols)
 
     def step(self, frame: int, detections: list[Detection]) -> FrameResult:
         """Run one association round and return the tracks to emit.
@@ -258,7 +248,7 @@ class ByteTracker:
     ) -> FrameResult:
         """One association round on validated input; n_lost and n_removed
         start from the counts carried over a frame gap."""
-        was_tracked = self._last == self._frame
+        prev = self._frame
         self._frame = frame
         cfg = self.config
 
@@ -270,26 +260,39 @@ class ByteTracker:
         self._motion = self.kalman.predict_many(self._motion)
         predicted = _tlbr(self._motion.mean)
 
-        remain, remain_high = self._associate(
-            np.arange(len(self._id)), predicted, high, cfg.min_iou_first, frame
+        hit, matched, remain, remain_high = self._associate(
+            np.arange(len(self._id)), predicted, high, cfg.min_iou_first
         )
 
         n_second = 0
         n_low_discarded = len(low)
         if cfg.mode is Mode.BYTE and low:
             if cfg.second_stage_tracked_only:
-                remain = remain[was_tracked[remain]]
-            _, unmatched_low = self._associate(
-                remain, predicted, low, cfg.min_iou_second, frame
+                remain = remain[self._last[remain] == prev]  # tracked until now
+            # stage 2 scores the same predictions: both stages update below
+            hit2, matched2, _, unmatched_low = self._associate(
+                remain, predicted, low, cfg.min_iou_second
             )
-            n_second = len(low) - len(unmatched_low)
+            if matched2:
+                hit = np.concatenate([hit, hit2])
+                matched += matched2
+            n_second = len(matched2)
             n_low_discarded = len(unmatched_low)
 
-        tracked = self._last == frame
-        n_lost += int(np.count_nonzero(was_tracked & ~tracked))
+        if matched:
+            # rebirth updates the prior belief (not a new one), so the
+            # velocity learned before the object went lost carries over
+            prior = MotionState._of(self._motion.mean[hit], self._motion.cov[hit])
+            motion = self.kalman.update_many(prior, [d.box.cxcyah() for d in matched])
+            self._motion.mean[hit] = motion.mean
+            self._motion.cov[hit] = motion.cov
+            self._last[hit] = frame
+            self._det[hit] = np.fromiter(matched, object, len(matched))
+
+        n_lost += int(np.count_nonzero(self._last == prev))  # tracked, now unmatched
 
         # tracked rows have last == frame, so only lost rows can expire
-        keep = frame - self._last <= cfg.lost_ttl
+        keep = self._last >= frame - cfg.lost_ttl
         gone = len(keep) - int(np.count_nonzero(keep))
         if gone:
             n_removed += gone
@@ -336,7 +339,7 @@ class ByteTracker:
         """Start one track per detection, with consecutive new ids."""
         n = len(born)
         motion = self.kalman.initiate([d.box.cxcyah() for d in born])
-        self._motion = MotionState(
+        self._motion = MotionState._of(
             np.concatenate([self._motion.mean, motion.mean]),
             np.concatenate([self._motion.cov, motion.cov]),
         )
@@ -344,4 +347,4 @@ class ByteTracker:
         self._next_id += n
         self._start = np.concatenate([self._start, np.full(n, frame)])
         self._last = np.concatenate([self._last, np.full(n, frame)])
-        self._det = np.concatenate([self._det, np.array(born, dtype=object)])
+        self._det = np.concatenate([self._det, np.fromiter(born, object, n)])

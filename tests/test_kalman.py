@@ -215,6 +215,30 @@ class TestInvariants:
         kf.initiate(zs)
         assert (states.mean.tobytes(), states.cov.tobytes(), zs.tobytes()) == before
 
+    @pytest.mark.parametrize("batch", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_results_are_fresh_float64_of_the_documented_shapes(self, kf, batch, dtype):
+        # no result shares memory with the state or measurements it came
+        # from, whatever the input's dtype, in batch and single form
+        rng = np.random.default_rng(10)
+        m = np.rint(rng.uniform([0, 0, 1, 10], [800, 600, 3, 120], (5, 4))).astype(dtype)
+        if not batch:
+            m = m[0]
+        lead = m.shape[:-1]
+        state = kf.initiate(m)
+        results = [(state, [m])]
+        predicted = kf.predict_many(state)
+        results.append((predicted, [state.mean, state.cov]))
+        zs = predicted.mean[..., :4] + 1.0
+        results.append((kf.update_many(predicted, zs), [predicted.mean, predicted.cov, zs]))
+        for result, inputs in results:
+            assert result.mean.dtype == result.cov.dtype == np.float64
+            assert result.mean.shape == lead + (8,) and result.cov.shape == lead + (3, 4)
+            assert not np.shares_memory(result.mean, result.cov)
+            for array in inputs:
+                assert not np.shares_memory(result.mean, array)
+                assert not np.shares_memory(result.cov, array)
+
     def test_state_holds_its_arrays(self):
         mean, cov = np.zeros((3, 8)), np.zeros((3, 3, 4))
         state = MotionState(mean, cov)

@@ -403,6 +403,24 @@ class TestSharedPass:
         assert gate.call_count == n_blocks
         assert block.call_count == 2 * n_blocks
 
+    @pytest.mark.parametrize("iou_min, kept", [(0.0, False), (0.5, True)])
+    def test_tables_kept_only_when_idf1_reads_them(self, seq, iou_min, kept):
+        # at iou_min 0 idf1 lists every pair, so clear_mot keeps no table
+        seen = []
+        real_idf1 = metrics.idf1
+
+        def spy(gt, pred, iou_min=0.5):
+            seen.append(metrics._shared_index.get().tables is not None)
+            return real_idf1(gt, pred, iou_min=iou_min)
+
+        gt, dump = seq
+        with mock.patch.object(metrics, "idf1", spy):
+            result = metrics.evaluate(gt, dump, iou_min=iou_min)
+        assert seen == [kept]
+        assert result == EvalResult.from_counts(
+            *dataclasses.astuple(ref_clear_mot(gt, dump, iou_min=iou_min))[:4],
+            *dataclasses.astuple(ref_idf1(gt, dump, iou_min=iou_min))[1:])
+
     def test_direct_clear_mot_after_evaluate_has_full_trace(self, seq):
         gt, dump = seq
         expected = ref_clear_mot(gt, dump)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from bytemot.cli import run_tracker
 from bytemot.geometry import BOX_LIMIT, BOX_MIN, BBox, Detection
+from bytemot.kalman import KalmanFilter
 from bytemot.synth import ablation_corpus, generate
 from bytemot.tracker import (
     ByteTracker,
@@ -497,3 +500,102 @@ class TestMetamorphic:
         for dets, ids in corpus_runs:
             dump, _ = run_tracker(transformed(dets, scale, dx, dy), TrackerConfig(mode=mode))
             assert identities(dump) == ids[mode]
+
+
+@st.composite
+def extreme_streams(draw):
+    """A stream at the edges of what the API accepts: a few boxes at
+    +-BOX_LIMIT and BOX_MIN (and ordinary ones), seen again with small shifts
+    so tracks form and update, scores at tau_low and tau_high, frame gaps up
+    to past lost_ttl, and empty frames."""
+    tau_low = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    tau_high = draw(st.sampled_from([tau_low + 0.1, 0.6, 1.0]))
+    cfg = dict(tau_low=tau_low, tau_high=tau_high,
+               mode=draw(st.sampled_from(["byte", "single"])),
+               lost_ttl=draw(st.sampled_from([0, 2, 30])))
+    edge = st.sampled_from([-BOX_LIMIT, -1e6, -1.0, 0.0, 1.0, 1e6, BOX_LIMIT])
+    coord = st.one_of(edge, st.floats(-BOX_LIMIT, BOX_LIMIT))
+    size = st.one_of(st.sampled_from([BOX_MIN, 2 * BOX_MIN, 1.0, 30.0, 1e6, BOX_LIMIT]),
+                     st.floats(BOX_MIN, BOX_LIMIT))
+    pool = draw(st.lists(st.tuples(coord, coord, size, size), min_size=1, max_size=4))
+    score = st.one_of(st.sampled_from([0.0, tau_low, tau_high, 1.0]), st.floats(0.0, 1.0))
+    shift = st.sampled_from([0.0, 0.0, BOX_MIN, -BOX_MIN, 1.0, -3.0])
+    frame, stream = 0, []
+    for gap, picks in draw(st.lists(st.tuples(
+            st.sampled_from([1, 1, 1, 2, 40]),
+            st.lists(st.tuples(st.integers(0, len(pool) - 1), score, shift), max_size=5)),
+            min_size=1, max_size=12)):
+        frame += gap
+        dets = []
+        for i, s, dx in picks:
+            left, top, width, height = pool[i]
+            left = min(max(left + dx, -BOX_LIMIT), BOX_LIMIT)
+            dets.append(Detection(frame, BBox(left, top, width, height), s))
+        stream.append((frame, dets))
+    return cfg, stream
+
+
+class TestStepContract:
+    """For every input the API accepts, step raises no floating-point error,
+    and its outputs honour the contract."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(extreme_streams())
+    def test_accepted_input_gives_finite_unique_partitioned_output(self, case):
+        cfg, stream = case
+        tracker = ByteTracker(TrackerConfig(**cfg))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for frame, dets in stream:
+                result = tracker.step(frame, dets)
+                ids = [o.track_id for o in result.outputs]
+                assert len(set(ids)) == len(ids)
+                for out in result.outputs:
+                    assert np.isfinite([*out.box.tlwh(), out.score]).all()
+                assert np.isfinite(tracker._motion.mean).all()
+                assert np.isfinite(tracker._motion.cov).all()
+                s = tracker.last_stats
+                assert s.n_dets == len(dets)
+                assert s.n_high + s.n_low + s.n_below_floor == s.n_dets
+                assert s.n_first_matches + s.n_new_tracks + s.n_births_suppressed == s.n_high
+                assert s.n_second_matches + s.n_low_discarded == s.n_low
+
+
+class TestKalmanCallCounts:
+    """Each step predicts the live tracks in one call, updates both stages'
+    matches in one call and initiates its births in one call, spied through
+    the class as the benchmark's tracer does."""
+
+    def test_one_call_per_frame_for_each_operation(self):
+        calls = []
+
+        def spy(name):
+            method = getattr(KalmanFilter, name)
+
+            def wrapper(self, *args):
+                result = method(self, *args)
+                calls.append((name, len(result)))
+                return result
+            return wrapper
+
+        rng = np.random.default_rng(81)
+        stream = TestInvariants.random_recoverable_stream(rng, frames=40, objects=6)
+        both_stages = 0
+        with mock.patch.object(KalmanFilter, "predict_many", spy("predict_many")), \
+                mock.patch.object(KalmanFilter, "update_many", spy("update_many")), \
+                mock.patch.object(KalmanFilter, "initiate", spy("initiate")):
+            tracker = ByteTracker()
+            for frame, dets in enumerate(stream, start=1):
+                live = len(tracker.tracks)
+                calls.clear()
+                tracker.step(frame, dets)
+                s = tracker.last_stats
+                by_name = {}
+                for name, rows in calls:
+                    by_name.setdefault(name, []).append(rows)
+                assert by_name.get("predict_many") == [live]
+                matched = s.n_first_matches + s.n_second_matches
+                assert by_name.get("update_many", []) == ([matched] if matched else [])
+                born = s.n_new_tracks
+                assert by_name.get("initiate", []) == ([born] if born else [])
+                both_stages += s.n_first_matches > 0 and s.n_second_matches > 0
+        assert both_stages > 5
