@@ -29,7 +29,6 @@ from .tracker import (
     Track,
     TrackerConfig,
     TrackState,
-    split_by_score,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +66,6 @@ __all__ = [
     "read_gt",
     "read_results",
     "solve",
-    "split_by_score",
     "write_detections",
     "write_gt",
     "write_results",

@@ -11,9 +11,9 @@ checked on those cells only, and the degrees, the settled pairs, the cost
 shift and the padded matrix are all built from that list. Beside the mask
 (the caller's, or the cost's finiteness when none is given), the only dense
 array is the padded matrix of the contested rows and columns. In a crowd the
-list holds about one cell per row. A matrix whose every cell is feasible
-(idf1's identity weights) has nothing to settle and skips the list: its cost
-matrix goes to the padded solve whole.
+list holds about one cell per row. A matrix of more than one cell whose every
+cell is feasible (idf1's identity weights) has nothing to settle and skips
+the list: its cost matrix goes to the padded solve whole.
 
 What the feasibility mask already decides is settled first. Rows and
 columns without a feasible entry stay unmatched, and a feasible entry alone
@@ -78,10 +78,12 @@ def solve(cost, feasible=None) -> Assignment:
         return _empty(n, m)
 
     mask = np.isfinite(cost) if feasible is None else feasible
-    if np.count_nonzero(mask) == n * m and (feasible is None or np.isfinite(cost).all()):
-        # every cell is feasible (idf1's weights): nothing can be settled
-        # unless the matrix is 1 x 1, whose cell the solve matches anyway,
-        # so the cost matrix goes to the padded solve whole
+    if n * m > 1 and np.count_nonzero(mask) == n * m and (
+        feasible is None or np.isfinite(cost).all()
+    ):
+        # every cell is feasible (idf1's weights): nothing can be settled, so
+        # the cost matrix goes to the padded solve whole; a 1 x 1 cell is
+        # settled by the degree test below
         big = float(cost.max() - min(0.0, cost.min())) * min(n, m) + 1.0
         return _settled(_padded_solve(n, m, slice(0, n), slice(0, m), cost - big), n, m)
     # the feasible cells as (row, col, cost) triples in row-major order, from

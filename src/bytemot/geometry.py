@@ -11,7 +11,7 @@ scatters the gated pairs of a large one into zeros (see _GATE_CELLS);
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -93,7 +93,9 @@ class BBox:
 @dataclass(frozen=True, slots=True)
 class Detection:
     """One detector output: a scored box on a given frame (frames are 1-based
-    integers; numpy integers are accepted, bools are not)."""
+    integers; numpy integers are accepted, bools are not). The box must be a
+    BBox and the score a real number in [0, 1], kept as given (bools are
+    rejected); the tracker compares scores as float64 values."""
 
     frame: int
     box: BBox
@@ -105,8 +107,13 @@ class Detection:
             raise ValueError(f"frame index must be an integer, got {frame!r}")
         if frame < 1:
             raise ValueError(f"frame index must be >= 1, got {self.frame}")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
+        if type(self.box) is not BBox and not isinstance(self.box, BBox):
+            raise ValueError(f"box must be a BBox, got {self.box!r}")
+        score = self.score
+        if type(score) is not float and (isinstance(score, bool) or not isinstance(score, Real)):
+            raise ValueError(f"score must be a real number, got {score!r}")
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"score must be in [0, 1], got {score}")
 
 
 def iou(a: BBox, b: BBox) -> float:

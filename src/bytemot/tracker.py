@@ -16,6 +16,15 @@ dropped. Every live track is advanced one frame by the motion model, then:
 Only tracks matched (or born) in the current frame are emitted. Single mode
 skips stage 2 and is the one-stage baseline used for ablations.
 
+A frame reads its detections once: sorted into the canonical order (score
+descending, then left and top edges), they become one float64 (n, 9) array,
+a row per detection holding its tlbr corners, its cxcyah measurement and its
+score, computed with BBox's own arithmetic, so the values are BBox.tlbr()'s
+and BBox.cxcyah()'s bit for bit. Scores are compared as these float64 values.
+Since the rows run by descending score, the high band is a prefix and the
+low band the slice after it; each stage scores its slice's corners, and the
+Kalman filter takes the matched and born rows' measurements.
+
 Live tracks are a table of columns with one row per track, oldest (lowest id)
 first: the Kalman beliefs as one MotionState batch (mean (N, 8), cov
 (N, 3, 4)), the ids, the first and last matched frames, and each track's last
@@ -33,7 +42,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from itertools import chain
 from numbers import Integral
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +63,6 @@ __all__ = [
     "FrameResult",
     "StepStats",
     "ByteTracker",
-    "split_by_score",
 ]
 
 
@@ -114,8 +125,10 @@ class Track(NamedTuple):
     last_frame: int
 
 
-@dataclass(frozen=True, slots=True)
-class TrackOutput:
+class TrackOutput(NamedTuple):
+    """One emitted track: its id and its last matched detection's own box
+    and score; unpacks as (track_id, box, score)."""
+
     track_id: int
     box: BBox
     score: float
@@ -148,17 +161,6 @@ class StepStats:
     n_removed: int
 
 
-def split_by_score(
-    dets: list[Detection], cfg: TrackerConfig
-) -> tuple[list[Detection], list[Detection]]:
-    """Split detections into (high, low) bands; scores below tau_low are
-    dropped. The high band is strictly above tau_high, so a score exactly at
-    the threshold lands in the low band."""
-    high = [d for d in dets if d.score > cfg.tau_high]
-    low = [d for d in dets if cfg.tau_low <= d.score <= cfg.tau_high]
-    return high, low
-
-
 def _tlbr(mean: np.ndarray) -> np.ndarray:
     """Corner boxes (N, 4) of the (cx, cy, a, h) part of the beliefs."""
     half = mean[:, 2:4].copy()
@@ -168,6 +170,27 @@ def _tlbr(mean: np.ndarray) -> np.ndarray:
 
 
 _STATES = (TrackState.LOST, TrackState.TRACKED)  # indexed by "is tracked"
+_NO_COLS = np.empty(0, dtype=np.intp)
+_BOX, _SCORE = attrgetter("box"), attrgetter("score")
+# TrackOutput._make without its length check, for (id, box, score) triples
+_output = partial(tuple.__new__, TrackOutput)
+
+
+def _canonical(det: Detection) -> tuple[float, float, float]:
+    return (-det.score, det.box.left, det.box.top)
+
+
+def _read(dets: list[Detection]) -> np.ndarray:
+    """The detections as one float64 (n, 9) array, a row per detection:
+    its tlbr corners, its cxcyah measurement and its score, each computed as
+    BBox.right, BBox.bottom and BBox.cxcyah compute it."""
+    n = len(dets)
+    return np.fromiter(chain.from_iterable([
+        (b.left, b.top, b.left + b.width, b.top + b.height,
+         b.left + b.width / 2.0, b.top + b.height / 2.0, b.width / b.height, b.height,
+         d.score)
+        for d in dets for b in (d.box,)
+    ]), float, 9 * n).reshape(n, 9)
 
 
 class ByteTracker:
@@ -197,21 +220,19 @@ class ByteTracker:
         )))
 
     def _associate(
-        self,
-        rows: np.ndarray,
-        predicted: np.ndarray,
-        dets: list[Detection],
-        min_iou: float,
-    ) -> tuple[np.ndarray, list[Detection], np.ndarray, list[int]]:
-        """Match dets against the given table rows; returns the matched rows,
-        their detections, the unmatched rows and the unmatched det indices."""
-        if not len(rows) or not dets:
-            return rows[:0], [], rows, list(range(len(dets)))
-        sim = iou_matrix_tlbr(predicted[rows], np.array([d.box.tlbr() for d in dets]))
+        self, rows: np.ndarray, predicted: np.ndarray, boxes: np.ndarray, min_iou: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Match the given table rows against the (M, 4) tlbr boxes; returns
+        the matched rows, their box indices, the unmatched rows and the
+        unmatched box indices."""
+        if not len(rows) or not len(boxes):
+            return rows[:0], _NO_COLS, rows, np.arange(len(boxes))
+        sim = iou_matrix_tlbr(predicted[rows], boxes)
         assign = min_cost_assignment(1.0 - sim, min_iou=min_iou)
-        hit_rows, hit_dets = zip(*assign.matches) if assign.matches else ((), ())
-        return (rows[list(hit_rows)], [dets[c] for c in hit_dets],
-                rows[assign.unmatched_rows], assign.unmatched_cols)
+        k = len(assign.matches)
+        hits = np.fromiter(chain.from_iterable(assign.matches), np.intp, 2 * k)  # row, col, ...
+        return (rows[hits[::2]], hits[1::2],
+                rows[assign.unmatched_rows], np.array(assign.unmatched_cols, dtype=np.intp))
 
     def step(self, frame: int, detections: list[Detection]) -> FrameResult:
         """Run one association round and return the tracks to emit.
@@ -253,41 +274,46 @@ class ByteTracker:
         cfg = self.config
 
         # canonical order makes the result independent of caller ordering
-        dets = sorted(detections, key=lambda d: (-d.score, d.box.left, d.box.top))
-        high, low = split_by_score(dets, cfg)
-        n_below = len(dets) - len(high) - len(low)
+        dets = sorted(detections, key=_canonical)
+        v = _read(dets)
+        # the rows run by descending score, so the bands are the rows
+        # [0, n_high) and [n_high, n_kept)
+        n_high = int(np.count_nonzero(v[:, 8] > cfg.tau_high))
+        n_kept = int(np.count_nonzero(v[:, 8] >= cfg.tau_low))
+        n_low = n_kept - n_high
+        det_of = np.fromiter(dets, object, len(dets))
 
         self._motion = self.kalman.predict_many(self._motion)
         predicted = _tlbr(self._motion.mean)
 
-        hit, matched, remain, remain_high = self._associate(
-            np.arange(len(self._id)), predicted, high, cfg.min_iou_first
+        hit, cols, remain, remain_high = self._associate(
+            np.arange(len(self._id)), predicted, v[:n_high, :4], cfg.min_iou_first
         )
 
         n_second = 0
-        n_low_discarded = len(low)
-        if cfg.mode is Mode.BYTE and low:
+        n_low_discarded = n_low
+        if cfg.mode is Mode.BYTE and n_low:
             if cfg.second_stage_tracked_only:
                 remain = remain[self._last[remain] == prev]  # tracked until now
             # stage 2 scores the same predictions: both stages update below
-            hit2, matched2, _, unmatched_low = self._associate(
-                remain, predicted, low, cfg.min_iou_second
+            hit2, cols2, _, unmatched_low = self._associate(
+                remain, predicted, v[n_high:n_kept, :4], cfg.min_iou_second
             )
-            if matched2:
+            if len(hit2):
                 hit = np.concatenate([hit, hit2])
-                matched += matched2
-            n_second = len(matched2)
+                cols = np.concatenate([cols, cols2 + n_high])
+            n_second = len(hit2)
             n_low_discarded = len(unmatched_low)
 
-        if matched:
+        if len(hit):
             # rebirth updates the prior belief (not a new one), so the
             # velocity learned before the object went lost carries over
             prior = MotionState._of(self._motion.mean[hit], self._motion.cov[hit])
-            motion = self.kalman.update_many(prior, [d.box.cxcyah() for d in matched])
+            motion = self.kalman.update_many(prior, v[cols, 4:8])
             self._motion.mean[hit] = motion.mean
             self._motion.cov[hit] = motion.cov
             self._last[hit] = frame
-            self._det[hit] = np.fromiter(matched, object, len(matched))
+            self._det[hit] = det_of[cols]
 
         n_lost += int(np.count_nonzero(self._last == prev))  # tracked, now unmatched
 
@@ -299,26 +325,26 @@ class ByteTracker:
             self._take(keep)
 
         bar = cfg.tau_high + cfg.init_score_margin
-        born = [high[c] for c in remain_high if high[c].score > bar]
-        if born:
-            self._append(frame, born)
+        born = remain_high[v[remain_high, 8] > bar]
+        if len(born):
+            self._append(frame, det_of[born], v[born, 4:8])
 
         emit = self._last == frame
         if not cfg.emit_on_birth:
             emit &= self._start < frame
         # the table is in id order, so the outputs are sorted by track id
-        outputs = [
-            TrackOutput(track_id, det.box, det.score)
-            for track_id, det in zip(self._id[emit].tolist(), self._det[emit])
-        ]
+        emitted = self._det[emit].tolist()
+        outputs = list(map(_output, zip(
+            self._id[emit].tolist(), map(_BOX, emitted), map(_SCORE, emitted)
+        )))
 
         self.last_stats = StepStats(
             frame=frame,
             n_dets=len(dets),
-            n_high=len(high),
-            n_low=len(low),
-            n_below_floor=n_below,
-            n_first_matches=len(high) - len(remain_high),
+            n_high=n_high,
+            n_low=n_low,
+            n_below_floor=len(dets) - n_kept,
+            n_first_matches=n_high - len(remain_high),
             n_second_matches=n_second,
             n_new_tracks=len(born),
             n_births_suppressed=len(remain_high) - len(born),
@@ -335,10 +361,11 @@ class ByteTracker:
         self._last = self._last[rows]
         self._det = self._det[rows]
 
-    def _append(self, frame: int, born: list[Detection]) -> None:
-        """Start one track per detection, with consecutive new ids."""
+    def _append(self, frame: int, born: np.ndarray, measurements: np.ndarray) -> None:
+        """Start one track per detection of the object array born, with
+        consecutive new ids, from the detections' (cx, cy, a, h) rows."""
         n = len(born)
-        motion = self.kalman.initiate([d.box.cxcyah() for d in born])
+        motion = self.kalman.initiate(measurements)
         self._motion = MotionState._of(
             np.concatenate([self._motion.mean, motion.mean]),
             np.concatenate([self._motion.cov, motion.cov]),
@@ -347,4 +374,4 @@ class ByteTracker:
         self._next_id += n
         self._start = np.concatenate([self._start, np.full(n, frame)])
         self._last = np.concatenate([self._last, np.full(n, frame)])
-        self._det = np.concatenate([self._det, np.fromiter(born, object, n)])
+        self._det = np.concatenate([self._det, born])

@@ -26,7 +26,6 @@ from bytemot.tracker import (
     StepStats,
     TrackerConfig,
     TrackOutput,
-    split_by_score,
 )
 
 
@@ -412,6 +411,17 @@ def cov_blocks(cov) -> np.ndarray:
     return np.stack(
         [cov[..., _AXIS, _AXIS], p_xv, cov[..., _AXIS + NDIM, _AXIS + NDIM]], axis=-2
     )
+
+
+def split_by_score(
+    dets: list[Detection], cfg: TrackerConfig
+) -> tuple[list[Detection], list[Detection]]:
+    """Split detections into (high, low) bands; scores below tau_low are
+    dropped. The high band is strictly above tau_high, so a score exactly at
+    the threshold lands in the low band."""
+    high = [d for d in dets if d.score > cfg.tau_high]
+    low = [d for d in dets if cfg.tau_low <= d.score <= cfg.tau_high]
+    return high, low
 
 
 class RefTrack:

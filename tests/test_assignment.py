@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,3 +253,20 @@ class TestFlatSolveEquivalence:
         cost = rng.uniform(0, 1, size=(7, 9))[:, ::2].T
         feasible = cost < 0.6
         assert solve(cost, feasible) == ref_solve(cost, feasible)
+
+    @pytest.mark.parametrize("value", [0.0, 0.3, 1.0, -5.0, 1e300, np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("feasible", [None, True, False])
+    def test_one_by_one_equals_reference(self, value, feasible):
+        cost = np.array([[value]])
+        mask = None if feasible is None else np.array([[feasible]])
+        assert solve(cost, mask) == ref_solve(cost, mask)
+        with np.errstate(invalid="ignore"):
+            want = ref_solve(cost, feasible=cost <= 0.8)
+        assert min_cost_assignment(cost, min_iou=0.2) == want
+
+    def test_one_feasible_cell_skips_the_padded_solve(self):
+        with mock.patch("bytemot.assignment.linear_sum_assignment") as lsap:
+            assert solve(np.array([[0.4]])).matches == [(0, 0)]
+            assert min_cost_assignment(np.array([[0.1]])).matches == [(0, 0)]
+            assert solve(np.array([[0.4]]), np.array([[True]])).matches == [(0, 0)]
+        lsap.assert_not_called()

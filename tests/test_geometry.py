@@ -110,6 +110,21 @@ class TestDetection:
     def test_accepts_numpy_integer_frames(self):
         assert Detection(np.int64(3), tlwh(0, 0, 1, 1), 0.5).frame == 3
 
+    @pytest.mark.parametrize("box", [(0, 0, 1, 1), [0.0, 0.0, 1.0, 1.0], None, "box"])
+    def test_rejects_a_box_that_is_not_a_bbox(self, box):
+        with pytest.raises(ValueError, match="box must be a BBox"):
+            Detection(1, box, 0.5)
+
+    @pytest.mark.parametrize("score", [True, False, np.True_, "0.5", None, 0.5j, [0.5]])
+    def test_rejects_a_score_that_is_not_a_real_number(self, score):
+        with pytest.raises(ValueError, match="score must be a real number"):
+            Detection(1, tlwh(0, 0, 1, 1), score)
+
+    @pytest.mark.parametrize("score", [0, 1, 0.5, np.float64(0.25), np.float32(0.75), np.int64(1)])
+    def test_keeps_a_real_score_as_given(self, score):
+        kept = Detection(1, tlwh(0, 0, 1, 1), score).score
+        assert kept is score
+
 
 class TestIou:
     def test_identity(self):

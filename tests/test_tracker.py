@@ -9,14 +9,15 @@ from bytemot.cli import run_tracker
 from bytemot.geometry import BOX_LIMIT, BOX_MIN, BBox, Detection
 from bytemot.kalman import KalmanFilter
 from bytemot.synth import ablation_corpus, generate
+from bytemot import tracker as tracker_module
 from bytemot.tracker import (
     ByteTracker,
     Mode,
     TrackerConfig,
+    TrackOutput,
     TrackState,
-    split_by_score,
 )
-from oracles import RefByteTracker, cov_blocks
+from oracles import RefByteTracker, cov_blocks, split_by_score
 
 
 def det(frame, l, t, w, h, score):
@@ -80,6 +81,21 @@ class TestSplitByScore:
         high, low = split_by_score(dets, cfg)
         assert [d.score for d in high] == [0.9]
         assert [d.score for d in low] == [0.6, 0.05, 0.0]
+
+    @pytest.mark.parametrize("tau_low, tau_high", [(0.1, 0.6), (0.0, 0.6), (0.0, 1.0), (0.3, 0.31)])
+    def test_step_counts_equal_the_split_at_the_band_edges(self, tau_low, tau_high):
+        cfg = TrackerConfig(tau_low=tau_low, tau_high=tau_high)
+        edges = [tau_high, tau_low, np.nextafter(tau_high, 2.0), np.nextafter(tau_high, -1.0),
+                 np.nextafter(tau_low, 2.0), np.nextafter(tau_low, -1.0), 0.0, 0.5, 1.0]
+        scores = [float(s) for s in edges if 0.0 <= s <= 1.0]
+        dets = [det(1, 10 * i, 0, 5, 5, s) for i, s in enumerate(scores * 2)]
+        tracker = ByteTracker(cfg)
+        tracker.step(1, dets)
+        high, low = split_by_score(dets, cfg)
+        s = tracker.last_stats
+        assert (s.n_high, s.n_low, s.n_below_floor) == (
+            len(high), len(low), len(dets) - len(high) - len(low))
+        assert s.n_high == s.n_new_tracks + s.n_births_suppressed
 
 
 class TestStepBasics:
@@ -599,3 +615,130 @@ class TestKalmanCallCounts:
                 assert by_name.get("initiate", []) == ([born] if born else [])
                 both_stages += s.n_first_matches > 0 and s.n_second_matches > 0
         assert both_stages > 5
+
+
+class TestFrameRead:
+    """Each frame's detections are read once into one float64 array whose
+    columns are BBox's own tlbr and cxcyah values, bit for bit."""
+
+    EDGES = [-BOX_LIMIT, -(BOX_LIMIT - BOX_MIN), -1.5, -0.0, 0.0, 1 / 3, BOX_LIMIT - BOX_MIN,
+             BOX_LIMIT]
+    SIZES = [BOX_MIN, 2 * BOX_MIN, 1 / 3, 7.0, BOX_LIMIT]
+
+    @staticmethod
+    def assert_columns_are_the_boxes(dets):
+        v = tracker_module._read(dets)
+        assert v.dtype == np.float64 and v.shape == (len(dets), 9)
+        tlbr = np.array([d.box.tlbr() for d in dets], dtype=float).reshape(-1, 4)
+        cxcyah = np.array([d.box.cxcyah() for d in dets], dtype=float).reshape(-1, 4)
+        assert v[:, :4].tobytes() == tlbr.tobytes()
+        assert v[:, 4:8].tobytes() == cxcyah.tobytes()
+        assert v[:, 8].tobytes() == np.array([float(d.score) for d in dets]).tobytes()
+
+    def test_columns_at_the_box_limits(self):
+        dets = [
+            Detection(1, BBox(left, top, width, height), 0.5)
+            for left in self.EDGES for top in (-BOX_LIMIT, -0.0, 0.0, BOX_LIMIT)
+            for width in self.SIZES for height in self.SIZES
+        ]
+        self.assert_columns_are_the_boxes(dets)
+        self.assert_columns_are_the_boxes([])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.floats(-BOX_LIMIT, BOX_LIMIT), st.floats(-BOX_LIMIT, BOX_LIMIT),
+        st.floats(BOX_MIN, BOX_LIMIT), st.floats(BOX_MIN, BOX_LIMIT), st.floats(0.0, 1.0),
+    ), max_size=12))
+    def test_columns_on_random_boxes(self, rows):
+        self.assert_columns_are_the_boxes(
+            [Detection(1, BBox(l, t, w, h), s) for l, t, w, h, s in rows])
+
+    def test_crowd_step_reads_no_box_method_and_feeds_the_filter_arrays(self):
+        grid = [(40.0 * (i % 20), 90.0 * (i // 20)) for i in range(200)]
+        frame1 = [det(1, x, y, 30, 80, 0.9) for x, y in grid]
+        # every other box drops into the low band: both stages match
+        frame2 = [det(2, x + 1, y + 1, 30, 80, 0.9 if i % 2 else 0.4)
+                  for i, (x, y) in enumerate(grid)]
+        calls, measured = [], []
+
+        def spy(cls, name, record):
+            method = getattr(cls, name)
+
+            def wrapper(*args):
+                record.append((name, args))
+                return method(*args)
+            return mock.patch.object(cls, name, wrapper)
+
+        tracker = ByteTracker()
+        with spy(BBox, "tlbr", calls), spy(BBox, "cxcyah", calls), \
+                spy(KalmanFilter, "update_many", measured), \
+                spy(KalmanFilter, "initiate", measured):
+            tracker.step(1, frame1)
+            out = tracker.step(2, frame2)
+        assert calls == []
+        assert [(name, args[-1].shape) for name, args in measured] == [
+            ("initiate", (200, 4)), ("update_many", (200, 4))]
+        for _, args in measured:
+            assert type(args[-1]) is np.ndarray and args[-1].dtype == np.float64
+        s = tracker.last_stats
+        assert (s.n_first_matches, s.n_second_matches) == (100, 100)
+        assert {id(o.box) for o in out.outputs} == {id(d.box) for d in frame2}
+
+    def test_output_is_an_immutable_triple(self):
+        d = det(1, 10, 10, 20, 40, 0.9)
+        out = ByteTracker().step(1, [d]).outputs[0]
+        track_id, box, score = out
+        assert (track_id, box, score) == (out.track_id, out.box, out.score) == (1, d.box, 0.9)
+        assert isinstance(out, TrackOutput) and box is d.box
+        with pytest.raises(AttributeError):
+            out.score = 0.1
+
+
+@st.composite
+def tied_streams(draw):
+    """Streams whose detections tie exactly on (score, left, top) with
+    different sizes, so only the stable canonical sort orders them, with
+    scores on both band edges and a step either side of them."""
+    tau_low = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    tau_high = draw(st.sampled_from([0.5, 0.6, 1.0]))
+    cfg = dict(tau_low=tau_low, tau_high=tau_high,
+               mode=draw(st.sampled_from(["byte", "single"])),
+               second_stage_tracked_only=draw(st.booleans()),
+               lost_ttl=draw(st.sampled_from([0, 2, 30])))
+    edges = [tau_low, tau_high, np.nextafter(tau_low, 2.0), np.nextafter(tau_high, 2.0),
+             np.nextafter(tau_low, -1.0), np.nextafter(tau_high, -1.0), 0.0, 1.0]
+    score = st.sampled_from([float(e) for e in edges if 0.0 <= e <= 1.0] + [1.0, 1.0])
+    corner = st.sampled_from([(0.0, 0.0), (0.0, 10.0), (0.0, -10.0), (10.0, 0.0), (100.0, 50.0)])
+    size = st.sampled_from([20.0, 24.0, 30.0, 60.0])
+    frame, stream = 0, []
+    for gap, dx, picks in draw(st.lists(st.tuples(
+            st.sampled_from([1, 1, 1, 2, 5]), st.sampled_from([0.0, 1.0, 2.5]),
+            st.lists(st.tuples(corner, size, size, score), max_size=8)),
+            min_size=1, max_size=10)):
+        frame += gap
+        stream.append((frame, [
+            Detection(frame, BBox(left + frame * dx, top, width, height), s)
+            for (left, top), width, height, s in picks
+        ]))
+    return cfg, stream
+
+
+class TestTiedStreamEquivalence:
+    """Exact ties on the canonical sort key and scores on the band edges
+    give the reference tracker's results and statistics, frame by frame."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_streams())
+    def test_matches_reference_tracker(self, case):
+        cfg, stream = case
+        tracker = ByteTracker(TrackerConfig(**cfg))
+        ref = RefByteTracker(TrackerConfig(**cfg))
+        for frame, dets in stream:
+            got = tracker.step(frame, dets)
+            want = ref.step(frame, dets)
+            assert got == want
+            assert all(a.box is b.box for a, b in zip(got.outputs, want.outputs))
+            assert tracker.last_stats == ref.last_stats
+            assert tracker._motion.mean.tobytes() == (
+                np.stack([t.motion.mean for t in ref.tracks]) if ref.tracks
+                else np.empty((0, 8))).tobytes()
