@@ -102,6 +102,8 @@ def _cmd_track(args) -> int:
         detections=len(dets),
         read_ms=f"{read_ms:.3f}",
         assoc_ms_mean=f"{float(np.mean(timings)) if timings else 0.0:.4f}",
+        assoc_ms_p50=f"{float(np.percentile(timings, 50)) if timings else 0.0:.4f}",
+        assoc_ms_p99=f"{float(np.percentile(timings, 99)) if timings else 0.0:.4f}",
         assoc_ms_max=f"{float(np.max(timings)) if timings else 0.0:.4f}",
         write_ms=f"{write_ms:.3f}",
         total_ms=f"{(time.perf_counter() - total_start) * 1000.0:.3f}",

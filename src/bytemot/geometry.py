@@ -90,6 +90,14 @@ class BBox:
         )
 
 
+def _accepted_tlwh(left, top, width, height) -> np.ndarray:
+    """BBox's rule over arrays: True where BBox(left, top, width, height)
+    would accept the values (NaN fails every comparison, as it does there)."""
+    return ((np.abs(left) <= BOX_LIMIT) & (np.abs(top) <= BOX_LIMIT)
+            & (np.abs(width) <= BOX_LIMIT) & (np.abs(height) <= BOX_LIMIT)
+            & (width >= BOX_MIN) & (height >= BOX_MIN))
+
+
 @dataclass(frozen=True, slots=True)
 class Detection:
     """One detector output: a scored box on a given frame (frames are 1-based

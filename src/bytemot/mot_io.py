@@ -15,14 +15,35 @@ ground-truth visibility that is NaN or outside [0, 1], and a ground-truth
 identity repeated within a frame) raise ParseError, rows with non-positive box
 sizes are skipped with a warning, and confidences outside [0, 1] are clamped
 with a warning.
+
+Each reader reads its file once into a float64 table, one row per non-blank
+line (``_table``). One ``np.loadtxt`` call parses the whole file when it holds
+only the characters of plain decimal numbers and every line has the same
+number of fields, at least the reader's minimum; otherwise ``float`` parses
+each field, and the table stops before the first line that is short or has a
+field ``float`` rejects. Every check is a mask over the table's columns. The
+rows no mask flags are built in bulk without checking them again; the flagged
+rows go, in line order, through the per-row code, which raises or warns for
+its line. A parse error is raised after them. So the records, the
+diagnostics and their order are those of reading one line at a time, and do
+not depend on which parser read the file.
+
+The writers print coordinates at two decimals and raise ValueError for a box
+whose width or height would print as 0.00, a row a reader would skip.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import deque
+from dataclasses import fields
+from itertools import compress, repeat
+from typing import NamedTuple
 
-from .geometry import BOX_LIMIT, BBox, Detection
+import numpy as np
+
+from .geometry import BOX_LIMIT, BBox, Detection, _accepted_tlwh
 from .metrics import GtEntry
 from .postprocess import TrackDump, TrackEntry
 
@@ -43,6 +64,14 @@ logger = logging.getLogger(__name__)
 PEDESTRIAN_CLASS = 1
 # 2**63 is exact as a float, so comparing the parsed floats with it is exact
 _INT64_END = float(2**63)
+# Every positive size below 0.005 prints as 0.00 at two decimals (the double
+# 0.005 itself lies just above 0.005 and prints as 0.01).
+_PRINT_MIN = 0.005
+# The fields a reader may use: ground truth's visibility is the ninth
+_COLUMNS = 9
+# The characters of plain decimal numbers, which np.loadtxt and float() read
+# alike; a file with any other character is parsed field by field
+_PLAIN = str.maketrans("", "", "0123456789.,+-eE \t\r\n")
 
 
 class ParseError(ValueError):
@@ -56,15 +85,52 @@ def group_by_frame(dets: list[Detection]) -> dict[int, list[Detection]]:
     return by_frame
 
 
-def _lines(path) -> list[tuple[int, str]]:
+class _Table(NamedTuple):
+    """A file's fields as float64 rows, one per non-blank line up to the
+    first line that failed to parse (whose ParseError is error)."""
+
+    values: np.ndarray  # (rows, columns), NaN past each row's width
+    linenos: list[int]
+    widths: np.ndarray
+    error: ParseError | None
+
+    def line(self, row: int) -> tuple[int, list[float]]:
+        """The line number and parsed fields of a row, for the per-row code."""
+        return self.linenos[row], self.values[row, :self.widths[row]].tolist()
+
+
+def _table(path, minimum: int) -> _Table:
+    """Read path into a table of at least _COLUMNS columns (see the module
+    docstring for the two parsers); minimum is the fewest fields a line may
+    have."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         raw = fh.read()
-    out = []
-    for lineno, line in enumerate(raw.split("\n"), start=1):
-        line = line.strip("\r").strip()
-        if line:
-            out.append((lineno, line))
-    return out
+    lines = list(map(str.strip, raw.split("\n")))
+    linenos = list(compress(range(1, len(lines) + 1), lines))
+    lines = list(filter(None, lines))
+    if lines and not raw.translate(_PLAIN):
+        try:
+            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            values = None
+        if values is not None and len(values) == len(lines) and values.shape[1] >= minimum:
+            widths = np.full(len(values), values.shape[1])
+            if values.shape[1] < _COLUMNS:
+                values = np.pad(values, ((0, 0), (0, _COLUMNS - values.shape[1])),
+                                constant_values=np.nan)
+            return _Table(values, linenos, widths, None)
+    rows, error = [], None
+    for lineno, line in zip(linenos, lines):
+        try:
+            rows.append(_fields(path, lineno, line, minimum))
+        except ParseError as exc:
+            error = exc
+            break
+    widths = np.array([len(row) for row in rows], dtype=np.intp)
+    values = np.full((len(rows), max(_COLUMNS, widths.max(initial=0))), np.nan)
+    for i, row in enumerate(rows):
+        values[i, :len(row)] = row
+    return _Table(values, linenos[:len(rows)], widths, error)
 
 
 def _fields(path, lineno: int, line: str, minimum: int) -> list[float]:
@@ -82,6 +148,83 @@ def _fields(path, lineno: int, line: str, minimum: int) -> list[float]:
             raise ParseError(f"{path}:{lineno}: non-numeric field {part!r}") from None
     return values
 
+
+# -- checks over columns; each mask is True where the per-row check passes --
+
+def _is_int64(column: np.ndarray) -> np.ndarray:
+    """_int_field's rule: an integer inside the int64 range."""
+    return (column == np.trunc(column)) & (column >= -_INT64_END) & (column < _INT64_END)
+
+
+def _in_unit(column: np.ndarray) -> np.ndarray:
+    """Inside [0, 1]: no clamp warning for a confidence, and a valid
+    visibility (NaN fails)."""
+    return (column >= 0.0) & (column <= 1.0)
+
+
+def _box_ok(values: np.ndarray) -> np.ndarray:
+    return _accepted_tlwh(values[:, 2], values[:, 3], values[:, 4], values[:, 5])
+
+
+def _first_rows(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """For each row in mask, the first row in mask with the same (a, b) key;
+    every other row maps to itself."""
+    first = np.arange(len(a))
+    rows = first[mask]
+    order = rows[np.lexsort((rows, b[rows], a[rows]))]
+    ka, kb = a[order], b[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ka[1:] != ka[:-1]) | (kb[1:] != kb[:-1])
+    first[order] = order[np.maximum.accumulate(np.where(starts, np.arange(len(order)), 0))]
+    return first
+
+
+# -- records --------------------------------------------------------------------
+
+def _build(cls, *columns) -> list:
+    """One cls per row of the columns (one column per field, in order),
+    filled slot by slot without __init__ or __post_init__. The values must be
+    ones cls would accept: the readers pass what their masks accepted, so it
+    is not checked again."""
+    records = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for field, column in zip(fields(cls), columns, strict=True):
+        deque(map(getattr(cls, field.name).__set__, records, column), maxlen=0)
+    return records
+
+
+def _ints(column: np.ndarray) -> list[int]:
+    return column.astype(np.int64).tolist()
+
+
+def _boxes(values: np.ndarray) -> list[BBox]:
+    return _build(BBox, *(values[:, j].tolist() for j in range(2, 6)))
+
+
+def _in_line_order(clean: np.ndarray, records, check_row):
+    """The bulk-built records of the clean rows (an iterable, returned as it
+    is when no row is flagged) merged, in line order, with what
+    check_row(row) returns for each flagged row: a record, or None for a
+    skipped row. check_row raises for a malformed row."""
+    flagged = np.flatnonzero(~clean).tolist()
+    if not flagged:
+        return records
+    records, out, start = list(records), [], 0
+    for k, row in enumerate(flagged):
+        # row - k clean rows come before this one
+        out += records[start:row - k]
+        start = row - k
+        record = check_row(row)
+        if record is not None:
+            out.append(record)
+    out += records[start:]
+    return out
+
+
+def _clean_rows(values: np.ndarray, clean: np.ndarray) -> np.ndarray:
+    return values if clean.all() else values[clean]
+
+
+# -- per-row code: the checks of one line, with their diagnostics ---------------
 
 def _int_field(path, lineno: int, value: float, what: str) -> int:
     if not value.is_integer():
@@ -119,29 +262,93 @@ def _score(path, lineno: int, conf: float) -> float:
     return conf
 
 
+def _detection(path, lineno: int, vals: list[float]) -> Detection | None:
+    frame = _int_field(path, lineno, vals[0], "frame")
+    if frame < 1:
+        raise ParseError(f"{path}:{lineno}: frame index must be >= 1, got {frame}")
+    box = _box(path, lineno, vals[2], vals[3], vals[4], vals[5])
+    if box is None:
+        return None
+    return Detection(frame=frame, box=box, score=_score(path, lineno, vals[6]))
+
+
+def _result(path, lineno: int, vals: list[float]) -> tuple[int, TrackEntry] | None:
+    frame = _int_field(path, lineno, vals[0], "frame")
+    track_id = _int_field(path, lineno, vals[1], "track id")
+    box = _box(path, lineno, vals[2], vals[3], vals[4], vals[5])
+    if box is None:
+        return None
+    return track_id, TrackEntry(frame, box, _score(path, lineno, vals[6]))
+
+
+def _gt_entry(path, lineno: int, vals: list[float], first: int) -> GtEntry | None:
+    """first: the line of the first row kept with this (frame, identity)."""
+    frame = _int_field(path, lineno, vals[0], "frame")
+    identity = _int_field(path, lineno, vals[1], "identity")
+    box = _box(path, lineno, vals[2], vals[3], vals[4], vals[5])
+    if box is None:
+        return None
+    if first != lineno:
+        raise ParseError(
+            f"{path}:{lineno}: identity {identity} repeated in frame {frame} "
+            f"(first at line {first})"
+        )
+    if len(vals) >= 8:
+        flag = _int_field(path, lineno, vals[6], "active flag")
+        cls = _int_field(path, lineno, vals[7], "class id")
+        considered = flag == 1 and cls == PEDESTRIAN_CLASS
+    else:
+        considered = True
+    visibility = vals[8] if len(vals) >= 9 else 1.0
+    if not 0.0 <= visibility <= 1.0:
+        raise ParseError(f"{path}:{lineno}: visibility must be in [0, 1], got {visibility}")
+    return GtEntry(
+        frame=frame,
+        identity=identity,
+        box=box,
+        considered=considered,
+        visibility=visibility,
+    )
+
+
+# -- readers and writers --------------------------------------------------------
+
 def read_detections(path) -> list[Detection]:
     """Parse a detection file; the id column is ignored (conventionally -1)."""
-    dets = []
-    for lineno, line in _lines(path):
-        vals = _fields(path, lineno, line, minimum=7)
-        frame = _int_field(path, lineno, vals[0], "frame")
-        if frame < 1:
-            raise ParseError(f"{path}:{lineno}: frame index must be >= 1, got {frame}")
-        box = _box(path, lineno, vals[2], vals[3], vals[4], vals[5])
-        if box is None:
-            continue
-        dets.append(Detection(frame=frame, box=box, score=_score(path, lineno, vals[6])))
+    t = _table(path, minimum=7)
+    frame, score = t.values[:, 0], t.values[:, 6]
+    clean = _is_int64(frame) & (frame >= 1) & _box_ok(t.values) & _in_unit(score)
+    v = _clean_rows(t.values, clean)
+    dets = _in_line_order(
+        clean,
+        _build(Detection, _ints(v[:, 0]), _boxes(v), v[:, 6].tolist()),
+        lambda row: _detection(path, *t.line(row)),
+    )
+    if t.error is not None:
+        raise t.error
     return dets
 
 
 def write_detections(path, dets: list[Detection]) -> None:
     rows = sorted(dets, key=lambda d: (d.frame, d.box.left, d.box.top, -d.score))
+    for d in rows:
+        if d.box.width < _PRINT_MIN or d.box.height < _PRINT_MIN:
+            raise _unprintable(path, "a detection", d.frame, d.box)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for d in rows:
             fh.write(
                 f"{d.frame},-1,{d.box.left:.2f},{d.box.top:.2f},"
                 f"{d.box.width:.2f},{d.box.height:.2f},{d.score:.6f},-1,-1,-1\n"
             )
+
+
+def _unprintable(path, what: str, frame: int, box: BBox) -> ValueError:
+    """The writers' error for a box whose width or height is below
+    _PRINT_MIN: it would print as 0.00, and a reader would skip its row."""
+    return ValueError(
+        f"{path}: {what} in frame {frame} has box size {box.width:.6g} x "
+        f"{box.height:.6g}, which prints as 0.00 at two decimals"
+    )
 
 
 def dump_from_rows(rows: list[tuple[int, int, BBox, float]]) -> TrackDump:
@@ -153,15 +360,20 @@ def dump_from_rows(rows: list[tuple[int, int, BBox, float]]) -> TrackDump:
     for a frame listed twice (the first such track in first-seen order raises,
     naming its smallest repeated frame).
     """
+    frames, track_ids, boxes, scores = zip(*rows) if rows else ((), (), (), ())
+    return _dump(zip(track_ids, _build(TrackEntry, frames, boxes, scores, repeat(False))))
+
+
+def _dump(pairs) -> TrackDump:
+    """dump_from_rows over (track id, entry) pairs."""
     dump: TrackDump = {}
     unordered = set()
-    for frame, track_id, box, score in rows:
-        entry = TrackEntry(frame, box, score)
+    for track_id, entry in pairs:
         entries = dump.get(track_id)
         if entries is None:
             dump[track_id] = [entry]
         else:
-            if frame <= entries[-1].frame:
+            if entry.frame <= entries[-1].frame:
                 unordered.add(track_id)
             entries.append(entry)
     for track_id in (t for t in dump if t in unordered):
@@ -177,16 +389,20 @@ def dump_from_rows(rows: list[tuple[int, int, BBox, float]]) -> TrackDump:
 
 def read_results(path) -> TrackDump:
     """Parse a tracker result file into a per-identity dump."""
-    rows = []
-    for lineno, line in _lines(path):
-        vals = _fields(path, lineno, line, minimum=7)
-        frame = _int_field(path, lineno, vals[0], "frame")
-        track_id = _int_field(path, lineno, vals[1], "track id")
-        box = _box(path, lineno, vals[2], vals[3], vals[4], vals[5])
-        if box is None:
-            continue
-        rows.append((frame, track_id, box, _score(path, lineno, vals[6])))
-    return dump_from_rows(rows)
+    t = _table(path, minimum=7)
+    frame, track_id, score = t.values[:, 0], t.values[:, 1], t.values[:, 6]
+    clean = (_is_int64(frame) & _is_int64(track_id) & _box_ok(t.values)
+             & _in_unit(score))
+    v = _clean_rows(t.values, clean)
+    entries = _build(TrackEntry, _ints(v[:, 0]), _boxes(v), v[:, 6].tolist(), repeat(False))
+    pairs = _in_line_order(
+        clean,
+        zip(_ints(v[:, 1]), entries),
+        lambda row: _result(path, *t.line(row)),
+    )
+    if t.error is not None:
+        raise t.error
+    return _dump(pairs)
 
 
 def write_results(path, tracks: TrackDump) -> None:
@@ -200,6 +416,9 @@ def write_results(path, tracks: TrackDump) -> None:
         for e in tracks[track_id]:
             rows.append((e.frame, track_id, e.box, e.score))
     rows.sort(key=lambda r: (r[0], r[1]))
+    for frame, track_id, box, _ in rows:
+        if box.width < _PRINT_MIN or box.height < _PRINT_MIN:
+            raise _unprintable(path, f"track {track_id}", frame, box)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for frame, track_id, box, score in rows:
             fh.write(
@@ -213,44 +432,36 @@ def read_gt(path) -> list[GtEntry]:
     and a visibility ratio; an entry is considered when flag == 1 and the
     class is pedestrian. Minimal 6/7-column files are accepted with every row
     considered. A (frame, identity) pair may appear only once."""
-    entries = []
-    first_line: dict[tuple[int, int], int] = {}
-    for lineno, line in _lines(path):
-        vals = _fields(path, lineno, line, minimum=6)
-        frame = _int_field(path, lineno, vals[0], "frame")
-        identity = _int_field(path, lineno, vals[1], "identity")
-        box = _box(path, lineno, vals[2], vals[3], vals[4], vals[5])
-        if box is None:
-            continue
-        first = first_line.setdefault((frame, identity), lineno)
-        if first != lineno:
-            raise ParseError(
-                f"{path}:{lineno}: identity {identity} repeated in frame {frame} "
-                f"(first at line {first})"
-            )
-        if len(vals) >= 8:
-            flag = _int_field(path, lineno, vals[6], "active flag")
-            cls = _int_field(path, lineno, vals[7], "class id")
-            considered = flag == 1 and cls == PEDESTRIAN_CLASS
-        else:
-            considered = True
-        visibility = vals[8] if len(vals) >= 9 else 1.0
-        if not 0.0 <= visibility <= 1.0:
-            raise ParseError(f"{path}:{lineno}: visibility must be in [0, 1], got {visibility}")
-        entries.append(
-            GtEntry(
-                frame=frame,
-                identity=identity,
-                box=box,
-                considered=considered,
-                visibility=visibility,
-            )
-        )
+    t = _table(path, minimum=6)
+    values, widths = t.values, t.widths
+    frame, identity = values[:, 0], values[:, 1]
+    flag, cls, visibility = values[:, 6], values[:, 7], values[:, 8]
+    box_ok = _box_ok(values)
+    first = _first_rows(frame, identity, box_ok)
+    has_flags, has_visibility = widths >= 8, widths >= 9
+    clean = (_is_int64(frame) & _is_int64(identity) & box_ok
+             & (first == np.arange(len(first)))
+             & (~has_flags | (_is_int64(flag) & _is_int64(cls)))
+             & (~has_visibility | _in_unit(visibility)))
+    considered = ~has_flags | ((flag == 1.0) & (cls == PEDESTRIAN_CLASS))
+    visibility = np.where(has_visibility, visibility, 1.0)
+    v = _clean_rows(values, clean)
+    entries = _in_line_order(
+        clean,
+        _build(GtEntry, _ints(v[:, 0]), _ints(v[:, 1]), _boxes(v),
+               considered[clean].tolist(), visibility[clean].tolist()),
+        lambda row: _gt_entry(path, *t.line(row), first=t.linenos[first[row]]),
+    )
+    if t.error is not None:
+        raise t.error
     return entries
 
 
 def write_gt(path, entries: list[GtEntry]) -> None:
     rows = sorted(entries, key=lambda e: (e.frame, e.identity))
+    for e in rows:
+        if e.box.width < _PRINT_MIN or e.box.height < _PRINT_MIN:
+            raise _unprintable(path, f"identity {e.identity}", e.frame, e.box)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for e in rows:
             flag = 1 if e.considered else 0

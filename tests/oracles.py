@@ -8,6 +8,8 @@ readers of library output that several test modules share sit at the end.
 """
 
 import itertools
+import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
@@ -16,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from bytemot.assignment import Assignment, min_cost_assignment, solve
-from bytemot.geometry import BBox, Detection, iou, iou_matrix_tlbr
+from bytemot.geometry import BOX_LIMIT, BBox, Detection, iou, iou_matrix_tlbr
 from bytemot.metrics import ClearResult, GtEntry, IdfResult
 from bytemot.mot_io import ParseError
 from bytemot.postprocess import TrackDump, TrackEntry
@@ -804,6 +806,151 @@ def ref_dump_from_rows(rows: list[tuple[int, int, BBox, float]]) -> TrackDump:
                 )
             seen.add(entry.frame)
     return dump
+
+
+# --- reference readers -------------------------------------------------------
+#
+# The MOT text readers as they were before they read each file as one numeric
+# table: one line at a time, float() on each field and BBox's own checks.
+# Kept verbatim (renamed, over ref_dump_from_rows) as their reference. They
+# log through the library's logger, so their warning records compare equal.
+
+_ref_logger = logging.getLogger("bytemot.mot_io")
+_REF_PEDESTRIAN_CLASS = 1
+_REF_INT64_END = float(2**63)
+
+
+def _ref_lines(path) -> list[tuple[int, str]]:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        raw = fh.read()
+    out = []
+    for lineno, line in enumerate(raw.split("\n"), start=1):
+        line = line.strip("\r").strip()
+        if line:
+            out.append((lineno, line))
+    return out
+
+
+def _ref_fields(path, lineno: int, line: str, minimum: int) -> list[float]:
+    parts = line.split(",")
+    if len(parts) < minimum:
+        raise ParseError(
+            f"{path}:{lineno}: expected at least {minimum} comma-separated "
+            f"fields, got {len(parts)}"
+        )
+    values = []
+    for part in parts:
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric field {part!r}") from None
+    return values
+
+
+def _ref_int_field(path, lineno: int, value: float, what: str) -> int:
+    if not value.is_integer():
+        raise ParseError(f"{path}:{lineno}: {what} must be an integer, got {value}")
+    if not -_REF_INT64_END <= value < _REF_INT64_END:
+        raise ParseError(f"{path}:{lineno}: {what} {value:g} is outside the int64 range")
+    return int(value)
+
+
+def _ref_box(path, lineno: int, left, top, width, height) -> BBox | None:
+    # BBox validates the values; the row is diagnosed only when it rejects them
+    try:
+        return BBox(left, top, width, height)
+    except ValueError as exc:
+        if (width > 0.0 and height > 0.0
+                or not all(abs(v) <= BOX_LIMIT for v in (left, top, width, height))):
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+    _ref_logger.warning(
+        "%s:%d: skipping row with non-positive box size %.6g x %.6g",
+        path, lineno, width, height,
+    )
+    return None
+
+
+def _ref_score(path, lineno: int, conf: float) -> float:
+    if math.isnan(conf):
+        raise ParseError(f"{path}:{lineno}: confidence is NaN")
+    if conf < 0.0 or conf > 1.0:
+        clamped = min(max(conf, 0.0), 1.0)
+        _ref_logger.warning(
+            "%s:%d: confidence %.6g outside [0, 1], clamped to %.6g",
+            path, lineno, conf, clamped,
+        )
+        return clamped
+    return conf
+
+
+def ref_read_detections(path) -> list[Detection]:
+    """Parse a detection file; the id column is ignored (conventionally -1)."""
+    dets = []
+    for lineno, line in _ref_lines(path):
+        vals = _ref_fields(path, lineno, line, minimum=7)
+        frame = _ref_int_field(path, lineno, vals[0], "frame")
+        if frame < 1:
+            raise ParseError(f"{path}:{lineno}: frame index must be >= 1, got {frame}")
+        box = _ref_box(path, lineno, vals[2], vals[3], vals[4], vals[5])
+        if box is None:
+            continue
+        dets.append(Detection(frame=frame, box=box, score=_ref_score(path, lineno, vals[6])))
+    return dets
+
+
+def ref_read_results(path) -> TrackDump:
+    """Parse a tracker result file into a per-identity dump."""
+    rows = []
+    for lineno, line in _ref_lines(path):
+        vals = _ref_fields(path, lineno, line, minimum=7)
+        frame = _ref_int_field(path, lineno, vals[0], "frame")
+        track_id = _ref_int_field(path, lineno, vals[1], "track id")
+        box = _ref_box(path, lineno, vals[2], vals[3], vals[4], vals[5])
+        if box is None:
+            continue
+        rows.append((frame, track_id, box, _ref_score(path, lineno, vals[6])))
+    return ref_dump_from_rows(rows)
+
+
+def ref_read_gt(path) -> list[GtEntry]:
+    """Parse ground truth. Nine-column files carry an active flag, a class id
+    and a visibility ratio; an entry is considered when flag == 1 and the
+    class is pedestrian. Minimal 6/7-column files are accepted with every row
+    considered. A (frame, identity) pair may appear only once."""
+    entries = []
+    first_line: dict[tuple[int, int], int] = {}
+    for lineno, line in _ref_lines(path):
+        vals = _ref_fields(path, lineno, line, minimum=6)
+        frame = _ref_int_field(path, lineno, vals[0], "frame")
+        identity = _ref_int_field(path, lineno, vals[1], "identity")
+        box = _ref_box(path, lineno, vals[2], vals[3], vals[4], vals[5])
+        if box is None:
+            continue
+        first = first_line.setdefault((frame, identity), lineno)
+        if first != lineno:
+            raise ParseError(
+                f"{path}:{lineno}: identity {identity} repeated in frame {frame} "
+                f"(first at line {first})"
+            )
+        if len(vals) >= 8:
+            flag = _ref_int_field(path, lineno, vals[6], "active flag")
+            cls = _ref_int_field(path, lineno, vals[7], "class id")
+            considered = flag == 1 and cls == _REF_PEDESTRIAN_CLASS
+        else:
+            considered = True
+        visibility = vals[8] if len(vals) >= 9 else 1.0
+        if not 0.0 <= visibility <= 1.0:
+            raise ParseError(f"{path}:{lineno}: visibility must be in [0, 1], got {visibility}")
+        entries.append(
+            GtEntry(
+                frame=frame,
+                identity=identity,
+                box=box,
+                considered=considered,
+                visibility=visibility,
+            )
+        )
+    return entries
 
 
 # --- shared test helpers ----------------------------------------------------

@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+from bytemot import cli
 from bytemot.cli import main
 from bytemot.geometry import BBox
 from bytemot.mot_io import read_gt, read_results, write_results
@@ -37,6 +38,23 @@ class TestTrack:
         assert manifest["mode"] == "byte"
         assert manifest["frames"] == "70"
         assert float(manifest["assoc_ms_mean"]) > 0
+
+    def test_manifest_percentiles(self, crossing_dir, tmp_path, monkeypatch):
+        # step times 1..100 ms: numpy's linear percentiles are 50.5 and 99.01
+        times = [float(t) for t in range(100, 0, -1)]
+        monkeypatch.setattr(cli, "run_tracker", lambda dets, cfg: ({}, times))
+        res = tmp_path / "res.txt"
+        assert main(["track", str(crossing_dir / "det.txt"), str(res)]) == 0
+        manifest = read_manifest(str(res) + ".manifest")
+        assert [manifest[f"assoc_ms_{k}"] for k in ("mean", "p50", "p99", "max")] == [
+            "50.5000", "50.5000", "99.0100", "100.0000"]
+
+    def test_manifest_percentiles_ordered_on_a_real_run(self, crossing_dir, tmp_path):
+        res = tmp_path / "res.txt"
+        assert main(["track", str(crossing_dir / "det.txt"), str(res)]) == 0
+        manifest = read_manifest(str(res) + ".manifest")
+        p50, p99, top = (float(manifest[f"assoc_ms_{k}"]) for k in ("p50", "p99", "max"))
+        assert 0 < p50 <= p99 <= top
 
     def test_single_mode_fragments(self, crossing_dir, tmp_path):
         res = tmp_path / "res.txt"

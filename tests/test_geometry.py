@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bytemot import geometry
-from bytemot.geometry import BOX_LIMIT, BOX_MIN, BBox, Detection, _iou_cells, iou, iou_matrix_tlbr
+from bytemot.geometry import (
+    BOX_LIMIT, BOX_MIN, BBox, Detection, _accepted_tlwh, _iou_cells, iou, iou_matrix_tlbr,
+)
 from oracles import iou_matrix_tlbr_dense, rasterized_iou
 
 
@@ -355,3 +357,45 @@ class TestIouCells:
 
     def test_empty(self):
         assert _iou_cells(np.zeros((4, 0)), np.zeros((4, 0))).shape == (0,)
+
+
+# every bound of BBox's rule, one float step either side of it, and values
+# no rule admits
+EDGE_VALUES = [
+    BOX_LIMIT, -BOX_LIMIT, math.nextafter(BOX_LIMIT, math.inf),
+    math.nextafter(-BOX_LIMIT, -math.inf),
+    math.nextafter(BOX_LIMIT, 0.0), BOX_MIN, math.nextafter(BOX_MIN, 0.0),
+    math.nextafter(BOX_MIN, 1.0), 0.0, -0.0, -BOX_MIN, 5e-324, 1.0, -1.0,
+    math.inf, -math.inf, math.nan,
+]
+box_values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-100, 100),
+                       st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestAcceptedMask:
+    """The readers' box mask accepts exactly the values BBox accepts."""
+
+    @staticmethod
+    def accepts(values) -> bool:
+        try:
+            BBox(*values)
+        except ValueError:
+            return False
+        return True
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(box_values, box_values, box_values, box_values), min_size=1,
+                    max_size=20))
+    def test_mask_equals_bbox_rule(self, rows):
+        got = _accepted_tlwh(*np.array(rows, dtype=float).T)
+        assert got.tolist() == [self.accepts(row) for row in rows]
+
+    def test_each_edge_value_in_each_field(self):
+        rows = []
+        for i in range(4):
+            for value in EDGE_VALUES:
+                row = [10.0, 20.0, 30.0, 40.0]
+                row[i] = value
+                rows.append(row)
+        got = _accepted_tlwh(*np.array(rows).T)
+        assert got.tolist() == [self.accepts(row) for row in rows]

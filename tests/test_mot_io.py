@@ -1,8 +1,13 @@
 import logging
+import math
+import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from bytemot import synth
+from bytemot.cli import run_tracker
 
 from bytemot.geometry import BOX_LIMIT, BOX_MIN, BBox, Detection
 from bytemot.mot_io import (
@@ -15,10 +20,12 @@ from bytemot.mot_io import (
     write_detections,
     write_gt,
     write_results,
+    _PRINT_MIN,
 )
 from bytemot.metrics import GtEntry
-from bytemot.postprocess import TrackEntry
-from oracles import ref_dump_from_rows
+from bytemot.postprocess import TrackEntry, interpolate
+from bytemot.tracker import TrackerConfig
+from oracles import ref_dump_from_rows, ref_read_detections, ref_read_gt, ref_read_results
 
 
 class TestReadDetections:
@@ -362,3 +369,231 @@ class TestDumpFromRows:
                 (1, 2, b, 0.5), (1, 2, b, 0.5)]
         with pytest.raises(ParseError, match="track 2 has duplicate entries for frame 1"):
             dump_from_rows(rows)
+
+
+class TestPrintedSize:
+    """A width or height below 0.005 prints as 0.00, which a reader skips:
+    the writers refuse such a box instead of losing its row."""
+
+    def test_threshold_is_where_the_print_turns_zero(self):
+        assert f"{_PRINT_MIN:.2f}" == "0.01"
+        assert f"{math.nextafter(_PRINT_MIN, 0.0):.2f}" == "0.00"
+
+    def test_write_results_rejects_tiny_width(self, tmp_path):
+        p = tmp_path / "res.txt"
+        with pytest.raises(ValueError, match=r"res\.txt: track 1 in frame 1 .*0\.00"):
+            write_results(p, {1: [TrackEntry(1, BBox(10, 10, 0.004, 20), 0.9)]})
+        assert not p.exists()
+
+    def test_write_detections_rejects_tiny_height(self, tmp_path):
+        p = tmp_path / "det.txt"
+        dets = [Detection(2, BBox(10, 10, 30, 40), 0.9), Detection(3, BBox(10, 10, 30, 0.002), 0.9)]
+        with pytest.raises(ValueError, match=r"det\.txt: a detection in frame 3 .*0\.00"):
+            write_detections(p, dets)
+
+    def test_write_gt_rejects_tiny_box(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        entries = [GtEntry(4, 7, BBox(10, 10, 0.001, 0.001))]
+        with pytest.raises(ValueError, match=r"gt\.txt: identity 7 in frame 4 .*0\.00"):
+            write_gt(p, entries)
+
+    @pytest.mark.parametrize("size, written", [(BOX_MIN, None), (_PRINT_MIN, 0.01)])
+    def test_round_trip_at_the_smallest_sizes(self, tmp_path, size, written):
+        # BOX_MIN is a valid box but prints as 0.00; the smallest printable
+        # size comes back as 0.01 instead of being skipped on read
+        p = tmp_path / "res.txt"
+        dump = {1: [TrackEntry(1, BBox(10, 10, size, size), 0.9),
+                    TrackEntry(2, BBox(10, 10, 5, 5), 0.9)]}
+        if written is None:
+            with pytest.raises(ValueError, match="prints as 0.00"):
+                write_results(p, dump)
+            return
+        write_results(p, dump)
+        back = read_results(p)
+        assert [e.frame for e in back[1]] == [1, 2]
+        assert back[1][0].box.tlwh() == (10.0, 10.0, written, written)
+
+
+# -- the table read against the line-by-line reference readers ----------------
+
+REFERENCE = {read_detections: ref_read_detections, read_results: ref_read_results,
+             read_gt: ref_read_gt}
+
+# fields either parser may read differently, or one of them not at all, and
+# values on each side of every check
+TRICKY = [
+    "1_0", "2\x1c", "١", "2\r5", "nan", "-inf", "inf", "1e400", "abc", "", " 3 ",
+    "\t1", "+1", "1.", ".5", "1e-320", "-0.0", "1.5", "0", "-1", "1.7", "-0.3",
+    "1e19", "-1e19", "9223372036854775808", "9223372036854774784",
+    "-9223372036854775808", "1e9", "-1e9", "1000000000.0000001", "0.001", "0.0009",
+    "0.0005", "-0.0005", "7.5",
+]
+# values on each side of each column's checks, per column of
+# frame,id,left,top,width,height,conf-or-flag,class,visibility
+COLUMN_VALUES = [
+    ["0", "4.0", "1.5", "-1"], ["-1", "0", "2.5"],
+    ["10.5", "-1e9", "1e9", "-1000000000.0000001"], ["-0.0", "1e9", "1e200"],
+    ["1e-3", "0.0009", "0", "-5", "1e9"], ["0.001", "-0.0", "1e200", "-1e-300"],
+    ["0", "1", "1.7", "-0.3", "nan", "2"], ["-1", "8", "1.5"], ["0", "1", "7.5", "-1", "nan"],
+]
+
+
+@st.composite
+def mot_rows(draw, width):
+    """One data line of width fields: a valid row of frame 1-3 and id 1-3
+    (so repeats and out-of-order frames are common) with up to two fields
+    replaced by a value from the edges of their checks or by a TRICKY one."""
+    fields = [str(draw(st.integers(1, 3))), str(draw(st.integers(1, 3))),
+              "10", "20", "30", "40", "1", "1", "0.5"]
+    fields = (fields + ["-1"] * width)[:width]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2]))):
+        i = draw(st.integers(0, width - 1))
+        pool = COLUMN_VALUES[i] if i < len(COLUMN_VALUES) else []
+        fields[i] = draw(st.sampled_from(pool + TRICKY) if pool and draw(st.booleans())
+                         else st.sampled_from(TRICKY))
+    return ",".join(fields)
+
+
+@st.composite
+def mot_files(draw):
+    """A file of data lines of one width (a few ragged), with blank and
+    whitespace-only lines, LF or CRLF endings, sometimes no final newline."""
+    width = draw(st.sampled_from([10, 9, 7, 6, 8, 11, 5]))
+    lines = draw(st.lists(st.one_of(
+        mot_rows(width), mot_rows(width), mot_rows(width), mot_rows(width),
+        st.integers(4, 11).flatmap(mot_rows),
+        st.sampled_from(["", "  ", "\t", " \r "]),
+    ), max_size=10))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def read_outcome(reader, path, caplog):
+    """The reader's records (or exception) and the warnings it logged."""
+    caplog.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = reader(path)
+        except Exception as exc:  # compared with the reference's, type and text
+            result = (type(exc), str(exc))
+    if isinstance(result, dict):
+        result = list(result.items())
+    return result, [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+
+def assert_record_types(reader, result):
+    """Frames and identities are ints, box values and scores floats."""
+    if isinstance(result, tuple):
+        return
+    if reader is read_results:
+        result = [e for _, entries in result for e in entries]
+    for record in result:
+        assert type(record.frame) is int
+        assert all(type(v) is float for v in record.box.tlwh())
+        if reader is read_gt:
+            assert type(record.identity) is int and type(record.considered) is bool
+            assert type(record.visibility) is float
+        else:
+            assert type(record.score) is float
+
+
+def assert_reads_like_reference(path, caplog):
+    with caplog.at_level(logging.WARNING, logger="bytemot.mot_io"):
+        for reader, reference in REFERENCE.items():
+            got = read_outcome(reader, path, caplog)
+            assert got == read_outcome(reference, path, caplog), reader.__name__
+            assert_record_types(reader, got[0])
+
+
+class TestTableEquivalence:
+    """Each reader returns the records, raises the error and logs the
+    warnings, in order, that the line-by-line reference does."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mot_files())
+    def test_generated_files(self, tmp_path, caplog, text):
+        p = tmp_path / "in.txt"
+        p.write_bytes(text.encode("utf-8"))
+        assert_reads_like_reference(p, caplog)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", " \n\t\r\n", "1,1,10,20,30,40,0.9", "1,1,10,20,30,40,0.9,1,1\r\n",
+        "1,1,10,20,30,40,0.9\n\n\n2,1,10,20,30,40,0.9\n",
+        "1,1,10,20,30,40,1_0\n", "1,1,10,20,30,40,2\x1c\n", "1,1,10,20,30,40,١\n",
+        "1,1,10,20\r,30,40,0.9\n", "1,1,10,20,30,40,0.9,1,1\n1,1,10,20,30,40,0.9,1,1\n",
+        "1,1,10,20,30,40,0.9,1,1\n1,1,10,20,0,40,0.9,1,1\n1,1,10,20,30,40,0.9,1,1\n",
+        "1,1,10,20,0,40,0.9,1,1\n1,1,10,20,30,40,0.9,1,1\n1,1,10,20,30,40,0.9,1,1\n",
+        "1,1,10,20,30,40\n1,1,10,20,30,40,1,1,1\n",
+        # records of clamped rows between clean ones, in line order
+        "1,1,10,20,30,40,0.9\n1,2,10,20,30,40,1.7\n1,3,10,20,30,40,0.9\n2,1,10,20,30,40,-0.3\n",
+        "1,1,10,20,30,40,0.9\n2,1,10,20,0,40,0.9\n1,2,10,20,30,40,2\n1,3,10,20,30,40,0.9\n",
+    ])
+    def test_hand_written_files(self, tmp_path, caplog, text):
+        p = tmp_path / "in.txt"
+        p.write_bytes(text.encode("utf-8"))
+        assert_reads_like_reference(p, caplog)
+
+    @pytest.mark.parametrize("reader", list(REFERENCE))
+    def test_check_error_beats_a_later_unparsable_line(self, tmp_path, reader):
+        lines = [f"{frame},1,10,20,30,40,1,1,1" for frame in range(1, 10)]
+        lines[2] = "1.5,1,10,20,30,40,1,1,1"
+        lines[8] = "9,1,abc,20,30,40,1,1,1"
+        p = tmp_path / "in.txt"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"in\.txt:3: frame must be an integer"):
+            reader(p)
+
+    @pytest.mark.parametrize("reader", [read_detections, read_results])
+    @pytest.mark.parametrize("bad", ["abc", "30,40"])
+    def test_clamp_warning_logged_before_a_later_error(self, tmp_path, caplog, reader, bad):
+        lines = [f"{f},1,10,20,30,40,0.9,-1,-1,-1" for f in range(1, 6)]
+        lines[1] = "2,1,10,20,30,40,1.7,-1,-1,-1"
+        lines[4] = f"5,1,10,20,{bad}"
+        p = tmp_path / "in.txt"
+        p.write_text("\n".join(lines) + "\n")
+        with caplog.at_level(logging.WARNING), pytest.raises(ParseError, match=r"in\.txt:5:"):
+            reader(p)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{p}:2: confidence 1.7 outside [0, 1], clamped to 1"]
+
+    @pytest.mark.parametrize("reader", list(REFERENCE))
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n"])
+    def test_empty_file_reads_empty_without_warnings(self, tmp_path, reader, text):
+        p = tmp_path / "in.txt"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not reader(p)
+
+
+def write_pipeline_files(directory, gt, dets):
+    """det.txt and gt.txt of a generated sequence, and the res.txt of
+    tracking and interpolating it, as the CLI pipeline writes them."""
+    directory.mkdir(parents=True, exist_ok=True)
+    write_detections(directory / "det.txt", dets)
+    write_gt(directory / "gt.txt", gt)
+    dump, _ = run_tracker(read_detections(directory / "det.txt"), TrackerConfig())
+    write_results(directory / "res.txt", interpolate(dump, sigma=20))
+    return [directory / name for name in ("det.txt", "gt.txt", "res.txt")]
+
+
+class TestPipelineFiles:
+    """The readers equal the references on the files the pipeline writes."""
+
+    def test_ablation_corpus(self, tmp_path, caplog):
+        for name, cfg in synth.ablation_corpus():
+            for p in write_pipeline_files(tmp_path / name, *synth.generate(cfg)):
+                assert_reads_like_reference(p, caplog)
+
+    def test_occluded_crowd(self, tmp_path, caplog):
+        # the crowd_occluded benchmark workload's inputs at seed 0
+        cfg = synth.ScenarioConfig(
+            seed=11, frames=400, field_size=(1280.0, 960.0), agents=120,
+            speed_range=(1.0, 3.0), box_size_range=(24.0, 60.0), occlusion_decay=0.85,
+            base_score=0.9, score_noise_std=0.05, miss_prob=0.03, fp_per_frame=4.0,
+            fp_score_range=(0.1, 0.75), jitter_std=0.5,
+        )
+        for p in write_pipeline_files(tmp_path, *synth.generate(cfg)):
+            assert_reads_like_reference(p, caplog)
