@@ -7,7 +7,7 @@ deterministic synthetic-scenario generator.
 """
 
 from .assignment import Assignment, min_cost_assignment, solve
-from .geometry import BBox, Detection, iou
+from .geometry import BBox, Detection
 from .kalman import KalmanFilter, MotionState
 from .metrics import EvalResult, GtEntry, aggregate, clear_mot, evaluate, idf1
 from .mot_io import (
@@ -20,7 +20,7 @@ from .mot_io import (
     write_gt,
     write_results,
 )
-from .postprocess import TrackEntry, filter_public, interpolate
+from .postprocess import TrackEntry, interpolate
 from .synth import ScenarioConfig, ablation_corpus, crossing_preset, generate
 from .tracker import (
     ByteTracker,
@@ -55,12 +55,10 @@ __all__ = [
     "clear_mot",
     "crossing_preset",
     "evaluate",
-    "filter_public",
     "generate",
     "group_by_frame",
     "idf1",
     "interpolate",
-    "iou",
     "min_cost_assignment",
     "read_detections",
     "read_gt",

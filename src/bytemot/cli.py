@@ -12,14 +12,17 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import fields as dataclass_fields
+from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import mot_io, synth
-from .geometry import Detection, iou_matrix_tlbr
-from .metrics import EvalResult, GtEntry, aggregate, evaluate
+from .geometry import Detection, _overlaps
+# Unused here, but kept as a module attribute: the benchmark's traced run
+# (perfbench/instrument.py) patches cli.iou_matrix_tlbr.
+from .geometry import iou_matrix_tlbr  # noqa: F401
+from .metrics import _FRAME, EvalResult, GtEntry, _edges, _int_column, aggregate, evaluate
 from .postprocess import DEFAULT_SIGMA, TrackDump, interpolate
 from .tracker import ByteTracker, Mode, TrackerConfig
 
@@ -29,15 +32,17 @@ CSV_VERSION = "1"
 def run_tracker(
     dets: list[Detection], cfg: TrackerConfig
 ) -> tuple[TrackDump, list[float]]:
-    """Drive a fresh tracker over frames 1..max; returns the result dump and
-    per-frame association times in milliseconds (stepping only, no I/O)."""
+    """Drive a fresh tracker over the frames that hold detections, in
+    increasing order; returns the result dump and the association time of
+    each stepped frame in milliseconds (stepping only, no I/O). A frame
+    without detections is not stepped: the next step advances the gap as
+    empty frames would, with work bounded by lost_ttl, not by the gap."""
     by_frame = mot_io.group_by_frame(dets)
-    last = max(by_frame) if by_frame else 0
     tracker = ByteTracker(cfg)
     rows = []
     timings = []
-    for frame in range(1, last + 1):
-        frame_dets = by_frame.get(frame, [])
+    for frame in sorted(by_frame):
+        frame_dets = by_frame[frame]
         start = time.perf_counter()
         result = tracker.step(frame, frame_dets)
         timings.append((time.perf_counter() - start) * 1000.0)
@@ -98,7 +103,7 @@ def _cmd_track(args) -> int:
         value = getattr(cfg, f.name)
         manifest[f.name] = value.value if isinstance(value, Mode) else value
     manifest.update(
-        frames=len(timings),
+        frames=max((d.frame for d in dets), default=0),
         detections=len(dets),
         read_ms=f"{read_ms:.3f}",
         assoc_ms_mean=f"{float(np.mean(timings)) if timings else 0.0:.4f}",
@@ -191,11 +196,7 @@ def run_sweep(
     motas: dict[str, list[float]] = {}
     for mode in sorted(modes, key=lambda m: m.value):
         for tau in sorted(taus):
-            cfg = TrackerConfig(
-                tau_high=tau, tau_low=base.tau_low,
-                min_iou_first=base.min_iou_first, min_iou_second=base.min_iou_second,
-                lost_ttl=base.lost_ttl, mode=mode,
-            )
+            cfg = replace(base, tau_high=tau, mode=mode)
             results = []
             for _, dets, gt in sequences:
                 dump, _ = run_tracker(dets, cfg)
@@ -236,45 +237,45 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# The IoU at which a low-score box counts as a true positive: evaluate's
+# default.
+LOWSCORE_IOU = 0.5
+
+
 def lowscore_counts(
     gt: list[GtEntry],
     dets: list[Detection],
     pred: TrackDump,
     tau_low: float,
     tau_high: float,
-    iou_min: float = 0.5,
 ) -> dict[str, int]:
-    """TP/FP counts among low-score boxes, for the raw detections and for the
-    boxes the tracker kept. A box is TP when it overlaps a considered truth
-    box of its frame with IoU >= iou_min."""
-    gt_frames: dict[int, list[GtEntry]] = {}
-    for entry in gt:
-        if entry.considered:
-            gt_frames.setdefault(entry.frame, []).append(entry)
-
-    def classify(frame: int, box) -> bool:
-        gts = gt_frames.get(frame, [])
-        if not gts:
-            return False
-        sim = iou_matrix_tlbr(
-            np.array([box.tlbr()]), np.array([g.box.tlbr() for g in gts])
-        )
-        return bool(sim.max() >= iou_min)
-
-    counts = {"det_low_tp": 0, "det_low_fp": 0, "kept_low_tp": 0, "kept_low_fp": 0}
-    for det in dets:
-        if tau_low <= det.score <= tau_high:
-            key = "det_low_tp" if classify(det.frame, det.box) else "det_low_fp"
-            counts[key] += 1
-    for track_id in pred:
-        for entry in pred[track_id]:
-            if tau_low <= entry.score <= tau_high:
-                key = "kept_low_tp" if classify(entry.frame, entry.box) else "kept_low_fp"
-                counts[key] += 1
+    """TP/FP counts among low-score boxes (tau_low <= score <= tau_high),
+    for the raw detections and for the boxes the tracker kept. A box is TP
+    when it overlaps a considered truth box of its frame with IoU >=
+    LOWSCORE_IOU. Each side's band is matched against the truth in one pass
+    of geometry's overlap gate, the one the evaluation uses."""
+    truth = [entry for entry in gt if entry.considered]
+    truth_edges = _edges(truth)
+    truth_frame = _int_column(truth, _FRAME, "ground-truth frame")
+    kept = [entry for track_id in pred for entry in pred[track_id]]
+    counts = {}
+    for side, boxes in (("det", dets), ("kept", kept)):
+        low = [box for box in boxes if tau_low <= box.score <= tau_high]
+        rows, _, ious = _overlaps(_edges(low), truth_edges,
+                                  _int_column(low, _FRAME, f"{side} frame"), truth_frame)
+        tp = len(np.unique(rows[ious >= LOWSCORE_IOU]))
+        counts[f"{side}_low_tp"] = tp
+        counts[f"{side}_low_fp"] = len(low) - tp
     return counts
 
 
 def _cmd_lowscore(args) -> int:
+    # written so that NaN fails too
+    if not 0.0 <= args.tau_low <= args.tau_high <= 1.0:
+        raise ValueError(
+            "--tau-low and --tau-high must satisfy 0 <= tau-low <= tau-high <= 1, "
+            f"got --tau-low {args.tau_low} and --tau-high {args.tau_high}"
+        )
     gt = mot_io.read_gt(args.gt)
     dets = mot_io.read_detections(args.det)
     pred = mot_io.read_results(args.res)

@@ -5,7 +5,8 @@ the one overlap gate: it finds the pairs of positive IoU between two box sets
 by the x axis first, so its work follows the overlapping pairs rather than
 every pair. ``iou_matrix_tlbr`` scores a small matrix by broadcasting and
 scatters the gated pairs of a large one into zeros (see _GATE_CELLS);
-``metrics`` gates each block of evaluation frames with the same function.
+``metrics`` gates each block of evaluation frames, and ``cli``'s low-score
+report each score band, with the same function.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-__all__ = ["BBox", "Detection", "iou", "iou_matrix_tlbr"]
+__all__ = ["BBox", "Detection", "iou_matrix_tlbr"]
 
 # The largest absolute value a box coordinate or size may take, in pixels:
 # far past any image, and small enough that box areas, Kalman variances and
@@ -122,26 +123,6 @@ class Detection:
             raise ValueError(f"score must be a real number, got {score!r}")
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {score}")
-
-
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes, in [0, 1].
-
-    Continuous geometry (no inclusive-pixel +1 convention); symmetric, zero
-    for disjoint boxes and exactly 1.0 for identical ones.
-    """
-    ar, ab = a.right, a.bottom
-    br, bb = b.right, b.bottom
-    iw = min(ar, br) - max(a.left, b.left)
-    ih = min(ab, bb) - max(a.top, b.top)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    # areas from the same corner values as the intersection, so rounding can
-    # never push the ratio past 1
-    area_a = (ar - a.left) * (ab - a.top)
-    area_b = (br - b.left) * (bb - b.top)
-    return inter / (area_a + area_b - inter)
 
 
 # iou_matrix_tlbr broadcasts below this many cells (N x M) and gates at or

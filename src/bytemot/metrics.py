@@ -25,7 +25,7 @@ so every count, match and tie-break is unchanged. The three threshold tests
 stay separate: IoU >= iou_min for a carried-over match, 1 - IoU <=
 1 - iou_min inside min_cost_assignment, and IoU >= iou_min for an IDF1 hit.
 At iou_min 0 every same-frame pair is an IDF1 hit, so idf1 then lists every
-same-frame pair, disjoint ones included.
+same-frame pair, disjoint ones included, and scores none of them.
 
 iou_min must satisfy 0 <= iou_min < 1 (NaN is rejected); clear_mot, idf1 and
 evaluate check it on entry. Frames and ground-truth identities are indexed as
@@ -52,7 +52,7 @@ from operator import attrgetter
 import numpy as np
 
 from .assignment import min_cost_assignment, solve
-from .geometry import _PAIR_CHUNK, BBox, _iou_cells, _overlaps, _windows, iou_matrix_tlbr
+from .geometry import _PAIR_CHUNK, BBox, _overlaps, _windows, iou_matrix_tlbr
 from .postprocess import TrackDump
 
 __all__ = [
@@ -291,13 +291,12 @@ class _Block:
 
     def all_pairs(self):
         """Every same-frame pair of the block, disjoint ones included, as
-        table's columns, in batches of at most _PAIR_CHUNK pairs."""
-        gb, pb = self.gt_box, self.pred_box
+        (ground-truth index row, predicted track rank) columns, in batches of
+        at most _PAIR_CHUNK pairs."""
         lo = np.searchsorted(self.pred_frame, self.gt_frame, "left")
         hi = np.searchsorted(self.pred_frame, self.gt_frame, "right")
         for g_rows, p_rows in _windows(lo, hi, _PAIR_CHUNK):
-            ious = _iou_cells(gb.take(g_rows, axis=1), pb.take(p_rows, axis=1))
-            yield self.g0 + g_rows, self.pred_rank[p_rows], ious
+            yield self.g0 + g_rows, self.pred_rank[p_rows]
 
 
 # The index evaluate builds once for its clear_mot and idf1 calls.
@@ -428,16 +427,19 @@ def idf1(gt: list[GtEntry], pred: TrackDump, iou_min: float = 0.5) -> IdfResult:
     index = _index(gt, pred)
     weights = np.zeros((len(index.gt_ids), len(index.pred_ids)))
     if iou_min == 0.0:
-        # every same-frame pair counts, disjoint ones included
-        tables = chain.from_iterable(block.all_pairs() for block in index.blocks())
-    elif index.tables is not None:
-        tables = index.tables  # kept by clear_mot under evaluate
+        # every same-frame pair is a hit, disjoint ones included: two
+        # accepted boxes never have a negative or NaN IoU
+        hits = chain.from_iterable(block.all_pairs() for block in index.blocks())
     else:
-        tables = (table for _, table in index.block_tables(keep=False))
-    for g_rows, p_ranks, ious in tables:
-        hit = ious >= iou_min
-        gt_rank = np.searchsorted(index.gt_ids, index.gt_id[g_rows[hit]])
-        cells, counts = np.unique(gt_rank * weights.shape[1] + p_ranks[hit], return_counts=True)
+        if index.tables is not None:
+            tables = index.tables  # kept by clear_mot under evaluate
+        else:
+            tables = (table for _, table in index.block_tables(keep=False))
+        hits = ((g_rows[(hit := ious >= iou_min)], p_ranks[hit])
+                for g_rows, p_ranks, ious in tables)
+    for g_rows, p_ranks in hits:
+        gt_rank = np.searchsorted(index.gt_ids, index.gt_id[g_rows])
+        cells, counts = np.unique(gt_rank * weights.shape[1] + p_ranks, return_counts=True)
         weights.reshape(-1)[cells] += counts
 
     idtp = 0

@@ -1,12 +1,12 @@
-"""Offline track refinement: gap interpolation and public-detection filtering."""
+"""Offline track refinement: the track dump type and gap interpolation."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import BOX_MIN, BBox, Detection, iou
+from .geometry import BOX_MIN, BBox
 
-__all__ = ["TrackEntry", "TrackDump", "DEFAULT_SIGMA", "interpolate", "filter_public"]
+__all__ = ["TrackEntry", "TrackDump", "DEFAULT_SIGMA", "interpolate"]
 
 DEFAULT_SIGMA = 20
 
@@ -82,22 +82,3 @@ def interpolate(tracks: TrackDump, sigma: int = DEFAULT_SIGMA) -> TrackDump:
         out[track_id] = filled
     return out
 
-
-def filter_public(
-    candidate_new_tracks: list[Detection],
-    public_dets: list[Detection],
-    min_iou: float = 0.8,
-) -> list[Detection]:
-    """Public-detection protocol gate for track births.
-
-    Keeps exactly the candidates whose IoU with at least one public detection
-    box of the same frame is strictly greater than min_iou. Applies only at
-    track birth; continuing tracks are never filtered.
-    """
-    kept = []
-    for cand in candidate_new_tracks:
-        for pub in public_dets:
-            if pub.frame == cand.frame and iou(cand.box, pub.box) > min_iou:
-                kept.append(cand)
-                break
-    return kept

@@ -18,11 +18,12 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from bytemot.assignment import Assignment, min_cost_assignment, solve
-from bytemot.geometry import BOX_LIMIT, BBox, Detection, iou, iou_matrix_tlbr
+from bytemot.geometry import BOX_LIMIT, BBox, Detection, iou_matrix_tlbr
 from bytemot.metrics import ClearResult, GtEntry, IdfResult
-from bytemot.mot_io import ParseError
+from bytemot.mot_io import ParseError, dump_from_rows, group_by_frame
 from bytemot.postprocess import TrackDump, TrackEntry
 from bytemot.tracker import (
+    ByteTracker,
     FrameResult,
     Mode,
     StepStats,
@@ -73,6 +74,29 @@ def enum_assignment(cost, feasible) -> tuple[int, float]:
                     if (k, -tot) > (best[0], -best[1]):
                         best = (k, tot)
     return best
+
+
+def iou(a: BBox, b: BBox) -> float:
+    """Intersection over union of two boxes, in [0, 1].
+
+    Continuous geometry (no inclusive-pixel +1 convention); symmetric, zero
+    for disjoint boxes and exactly 1.0 for identical ones.
+
+    The scalar formula geometry.iou was until the package kept a single IoU
+    formula, kept verbatim as a reference.
+    """
+    ar, ab = a.right, a.bottom
+    br, bb = b.right, b.bottom
+    iw = min(ar, br) - max(a.left, b.left)
+    ih = min(ab, bb) - max(a.top, b.top)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    # areas from the same corner values as the intersection, so rounding can
+    # never push the ratio past 1
+    area_a = (ar - a.left) * (ab - a.top)
+    area_b = (br - b.left) * (bb - b.top)
+    return inter / (area_a + area_b - inter)
 
 
 def iou_matrix_tlbr_dense(a, b) -> np.ndarray:
@@ -782,6 +806,71 @@ def ref_idf1(gt: list[GtEntry], pred: TrackDump, iou_min: float = 0.5) -> IdfRes
     denom = 2 * idtp + idfp + idfn
     score = None if denom == 0 else 2.0 * idtp / denom
     return IdfResult(idf1=score, idtp=idtp, idfp=idfp, idfn=idfn)
+
+
+# --- reference tracker loop --------------------------------------------------
+#
+# cli.run_tracker as it was before it stepped only the frames that hold
+# detections: every frame from 1 to the last is stepped, empty ones included.
+# Kept (renamed, without the timings) as its reference.
+
+
+def ref_run_tracker(dets: list[Detection], cfg: TrackerConfig) -> TrackDump:
+    """Drive a fresh tracker over frames 1..max; returns the result dump."""
+    by_frame = group_by_frame(dets)
+    last = max(by_frame) if by_frame else 0
+    tracker = ByteTracker(cfg)
+    rows = []
+    for frame in range(1, last + 1):
+        result = tracker.step(frame, by_frame.get(frame, []))
+        for out in result.outputs:
+            rows.append((frame, out.track_id, out.box, out.score))
+    return dump_from_rows(rows)
+
+
+# --- reference low-score report ----------------------------------------------
+#
+# cli.lowscore_counts as it was before it matched each band through the
+# evaluation's overlap gate: one iou_matrix_tlbr call per box. Kept verbatim
+# (renamed) as its reference.
+
+
+def ref_lowscore_counts(
+    gt: list[GtEntry],
+    dets: list[Detection],
+    pred: TrackDump,
+    tau_low: float,
+    tau_high: float,
+    iou_min: float = 0.5,
+) -> dict[str, int]:
+    """TP/FP counts among low-score boxes, for the raw detections and for the
+    boxes the tracker kept. A box is TP when it overlaps a considered truth
+    box of its frame with IoU >= iou_min."""
+    gt_frames: dict[int, list[GtEntry]] = {}
+    for entry in gt:
+        if entry.considered:
+            gt_frames.setdefault(entry.frame, []).append(entry)
+
+    def classify(frame: int, box) -> bool:
+        gts = gt_frames.get(frame, [])
+        if not gts:
+            return False
+        sim = iou_matrix_tlbr(
+            np.array([box.tlbr()]), np.array([g.box.tlbr() for g in gts])
+        )
+        return bool(sim.max() >= iou_min)
+
+    counts = {"det_low_tp": 0, "det_low_fp": 0, "kept_low_tp": 0, "kept_low_fp": 0}
+    for det in dets:
+        if tau_low <= det.score <= tau_high:
+            key = "det_low_tp" if classify(det.frame, det.box) else "det_low_fp"
+            counts[key] += 1
+    for track_id in pred:
+        for entry in pred[track_id]:
+            if tau_low <= entry.score <= tau_high:
+                key = "kept_low_tp" if classify(entry.frame, entry.box) else "kept_low_fp"
+                counts[key] += 1
+    return counts
 
 
 # --- reference result rows ---------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 
 from bytemot.assignment import min_cost_assignment, solve
 from bytemot.cli import main, run_tracker
-from bytemot.geometry import BBox, Detection, iou
+from bytemot.geometry import BBox, Detection
 from bytemot.kalman import KalmanFilter, MotionState
 from bytemot.metrics import GtEntry, clear_mot, evaluate, idf1
 from bytemot.mot_io import (
@@ -34,6 +34,7 @@ from oracles import (
     RefKalmanFilter,
     dp_assignment,
     full_cov,
+    iou,
     linear_interp_scalar,
     max_weight_matching_enum,
     read_manifest,

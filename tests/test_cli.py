@@ -1,14 +1,20 @@
 import csv
 import io
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bytemot import cli
-from bytemot.cli import main
-from bytemot.geometry import BBox
-from bytemot.mot_io import read_gt, read_results, write_results
+from bytemot import cli, synth
+from bytemot.cli import lowscore_counts, main, run_sweep, run_tracker
+from bytemot.geometry import BBox, Detection
+from bytemot.metrics import GtEntry
+from bytemot.mot_io import read_gt, read_results, write_detections, write_results
 from bytemot.postprocess import TrackEntry
-from oracles import read_manifest
+from bytemot.tracker import ByteTracker, Mode, TrackerConfig
+from oracles import read_manifest, ref_lowscore_counts, ref_run_tracker
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +94,55 @@ class TestTrack:
         main(["track", str(crossing_dir / "det.txt"), str(a)])
         main(["track", str(crossing_dir / "det.txt"), str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestRunTracker:
+    """run_tracker steps only the frames that hold detections; the tracker
+    advances each gap as the empty frames would have."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        configs = dict(synth.ablation_corpus())
+        return [synth.generate(configs[name])[1] for name in ("synth-01", "synth-05", "synth-10")]
+
+    @pytest.mark.parametrize("keep", [0.7, 0.3])
+    @pytest.mark.parametrize("mode", [Mode.BYTE, Mode.SINGLE])
+    @pytest.mark.parametrize("lost_ttl", [0, 3, 30])
+    def test_equals_every_frame_stepping_on_thinned_frames(self, corpus, keep, mode, lost_ttl):
+        cfg = TrackerConfig(mode=mode, lost_ttl=lost_ttl)
+        rng = np.random.default_rng(int(keep * 10) + lost_ttl)
+        for dets in corpus:
+            frames = sorted({d.frame for d in dets})
+            kept = set(rng.choice(frames, size=int(len(frames) * keep), replace=False).tolist())
+            thinned = [d for d in dets if d.frame in kept]
+            dump, timings = run_tracker(thinned, cfg)
+            assert dump == ref_run_tracker(thinned, cfg)
+            assert len(timings) == len(kept)
+
+    def test_far_frame_is_two_steps(self, monkeypatch):
+        calls = []
+        step = ByteTracker.step
+
+        def counted(self, frame, detections):
+            calls.append(frame)
+            return step(self, frame, detections)
+
+        monkeypatch.setattr(ByteTracker, "step", counted)
+        far = 10**12
+        dets = [Detection(1, BBox(0, 0, 10, 20), 0.9), Detection(far, BBox(5, 5, 10, 20), 0.9)]
+        dump, timings = run_tracker(dets, TrackerConfig())
+        assert calls == [1, far]
+        assert len(timings) == 2
+        assert [(tid, [e.frame for e in entries]) for tid, entries in dump.items()] == [
+            (1, [1]), (2, [far])]
+
+    def test_manifest_frames_is_the_last_frame(self, tmp_path):
+        det, res = tmp_path / "det.txt", tmp_path / "res.txt"
+        write_detections(det, [Detection(1, BBox(0, 0, 10, 20), 0.9),
+                               Detection(10**12, BBox(0, 0, 10, 20), 0.9)])
+        assert main(["track", str(det), str(res)]) == 0
+        assert read_manifest(str(res) + ".manifest")["frames"] == str(10**12)
+        assert sorted(read_results(res)) == [1, 2]
 
 
 class TestEval:
@@ -192,6 +247,21 @@ class TestSweep:
             "--gt", str(crossing_dir / "gt.txt"), "--taus", "1.0",
         ]) == 1
 
+    def test_keeps_every_field_of_base(self, crossing_dir, monkeypatch):
+        seen = []
+
+        def spy(dets, cfg):
+            seen.append(cfg)
+            return {}, []
+
+        monkeypatch.setattr(cli, "run_tracker", spy)
+        base = TrackerConfig(emit_on_birth=False, init_score_margin=0.05,
+                             second_stage_tracked_only=True)
+        sequences = [("seq", [], read_gt(crossing_dir / "gt.txt"))]
+        run_sweep(sequences, [0.7, 0.3], [Mode.SINGLE, Mode.BYTE], base)
+        assert seen == [replace(base, tau_high=tau, mode=mode)
+                        for mode in (Mode.BYTE, Mode.SINGLE) for tau in (0.3, 0.7)]
+
     def test_stdout_csv_when_no_out(self, crossing_dir, capsys):
         assert main([
             "sweep", "--det", str(crossing_dir / "det.txt"),
@@ -237,6 +307,65 @@ class TestLowscoreReport:
         ]) == 0
         row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert int(row["kept_low_tp"]) + int(row["kept_low_fp"]) == 0
+
+
+    @pytest.mark.parametrize("taus", [
+        ("0.9", "0.1"), ("nan", "0.6"), ("0.1", "nan"), ("-0.1", "0.6"), ("0.1", "1.5"),
+    ])
+    def test_unusable_band_fails(self, crossing_dir, tmp_path, capsys, taus):
+        res = tmp_path / "res.txt"
+        main(["track", str(crossing_dir / "det.txt"), str(res)])
+        assert main([
+            "lowscore-report", "--det", str(crossing_dir / "det.txt"),
+            "--gt", str(crossing_dir / "gt.txt"), "--res", str(res),
+            "--tau-low", taus[0], "--tau-high", taus[1],
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "--tau-low" in captured.err and "--tau-high" in captured.err
+        assert captured.out == ""
+
+
+# Boxes on a 5-pixel grid with sides 5 or 10 make exact IoU ties common: a
+# 10x5 box inside a 10x10 one has IoU exactly 0.5, the TP threshold.
+grid_box = st.builds(
+    BBox,
+    left=st.integers(0, 6).map(lambda v: 5.0 * v),
+    top=st.integers(0, 6).map(lambda v: 5.0 * v),
+    width=st.sampled_from([5.0, 10.0]),
+    height=st.sampled_from([5.0, 10.0]),
+)
+frames = st.integers(1, 5)
+scores = st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.6, 0.9, 1.0])
+
+
+@st.composite
+def lowscore_cases(draw):
+    """Ground truth (some frames without truth, some with ignore regions
+    only), detections, a result dump and a band that may be empty."""
+    gt = draw(st.lists(st.builds(GtEntry, frame=frames, identity=st.integers(1, 4),
+                                 box=grid_box, considered=st.booleans()), max_size=12))
+    dets = draw(st.lists(st.builds(Detection, frame=frames, box=grid_box, score=scores),
+                         max_size=12))
+    pred = {}
+    for track_id in draw(st.lists(st.integers(1, 6), unique=True, max_size=4)):
+        track_frames = sorted(draw(st.sets(frames, min_size=1, max_size=5)))
+        pred[track_id] = [TrackEntry(f, draw(grid_box), draw(scores)) for f in track_frames]
+    tau_low, tau_high = sorted(draw(st.lists(scores, min_size=2, max_size=2)))
+    return gt, dets, pred, tau_low, tau_high
+
+
+class TestLowscoreCounts:
+    @settings(max_examples=300)
+    @given(lowscore_cases())
+    def test_equals_reference(self, case):
+        assert lowscore_counts(*case) == ref_lowscore_counts(*case)
+
+    def test_exact_half_iou_is_tp(self):
+        gt = [GtEntry(1, 1, BBox(0, 0, 10, 10)), GtEntry(2, 1, BBox(0, 0, 10, 10), False)]
+        dets = [Detection(1, BBox(0, 0, 10, 5), 0.3), Detection(1, BBox(0, 0, 10, 4.9), 0.3),
+                Detection(2, BBox(0, 0, 10, 10), 0.3), Detection(3, BBox(0, 0, 10, 10), 0.3)]
+        counts = lowscore_counts(gt, dets, {}, 0.1, 0.6)
+        assert counts == {"det_low_tp": 1, "det_low_fp": 3, "kept_low_tp": 0, "kept_low_fp": 0}
 
 
 class TestInterp:

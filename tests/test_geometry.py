@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from bytemot import geometry
 from bytemot.geometry import (
-    BOX_LIMIT, BOX_MIN, BBox, Detection, _accepted_tlwh, _iou_cells, iou, iou_matrix_tlbr,
+    BOX_LIMIT, BOX_MIN, BBox, Detection, _accepted_tlwh, _iou_cells, iou_matrix_tlbr,
 )
-from oracles import iou_matrix_tlbr_dense, rasterized_iou
+from oracles import iou, iou_matrix_tlbr_dense, rasterized_iou
 
 
 def tlwh(l, t, w, h):
@@ -20,6 +20,11 @@ def tlwh(l, t, w, h):
 def iou_matrix(tracks, dets):
     """IoU of two box lists through iou_matrix_tlbr, one row per track box."""
     return iou_matrix_tlbr([b.tlbr() for b in tracks], [b.tlbr() for b in dets])
+
+
+def pair_iou(a, b) -> float:
+    """IoU of two boxes as the 1 x 1 iou_matrix_tlbr, the package's formula."""
+    return float(iou_matrix([a], [b])[0, 0])
 
 
 boxes = st.builds(
@@ -129,24 +134,26 @@ class TestDetection:
 
 
 class TestIou:
+    """The properties of IoU, checked on the package's one formula."""
+
     def test_identity(self):
         b = tlwh(12.5, -3.0, 17.0, 40.0)
-        assert iou(b, b) == 1.0
+        assert pair_iou(b, b) == 1.0
 
     def test_disjoint(self):
-        assert iou(tlwh(0, 0, 1, 1), tlwh(5, 5, 1, 1)) == 0.0
+        assert pair_iou(tlwh(0, 0, 1, 1), tlwh(5, 5, 1, 1)) == 0.0
 
     def test_partial_overlap(self):
         # intersection 1, union 4 + 4 - 1 = 7
-        assert math.isclose(iou(tlwh(0, 0, 2, 2), tlwh(1, 1, 2, 2)), 1 / 7)
+        assert math.isclose(pair_iou(tlwh(0, 0, 2, 2), tlwh(1, 1, 2, 2)), 1 / 7)
 
     def test_touching_edges_is_zero(self):
-        assert iou(tlwh(0, 0, 1, 1), tlwh(1, 0, 1, 1)) == 0.0
+        assert pair_iou(tlwh(0, 0, 1, 1), tlwh(1, 0, 1, 1)) == 0.0
 
     @given(boxes, boxes)
     def test_symmetric_and_bounded(self, a, b):
-        v = iou(a, b)
-        assert v == iou(b, a)
+        v = pair_iou(a, b)
+        assert v == pair_iou(b, a)
         assert 0.0 <= v <= 1.0
 
     @given(boxes, boxes, st.floats(-200, 200), st.floats(-200, 200))
@@ -154,13 +161,13 @@ class TestIou:
         shifted_a = BBox(a.left + dx, a.top + dy, a.width, a.height)
         shifted_b = BBox(b.left + dx, b.top + dy, b.width, b.height)
         assert math.isclose(
-            iou(shifted_a, shifted_b), iou(a, b), rel_tol=1e-9, abs_tol=1e-9
+            pair_iou(shifted_a, shifted_b), pair_iou(a, b), rel_tol=1e-9, abs_tol=1e-9
         )
 
     def test_one_only_for_equal_boxes(self):
         a = tlwh(0, 0, 10, 10)
         b = tlwh(0, 0, 10, 10.0001)
-        assert iou(a, b) < 1.0
+        assert pair_iou(a, b) < 1.0
 
     def test_against_rasterization_oracle(self):
         # boxes on an eighth-pixel lattice so cell counting is exact
@@ -173,7 +180,7 @@ class TestIou:
             expected = rasterized_iou(
                 (l1, t1, l1 + w1, t1 + h1), (l2, t2, l2 + w2, t2 + h2)
             )
-            assert math.isclose(iou(a, b), expected, rel_tol=1e-6, abs_tol=1e-9)
+            assert math.isclose(pair_iou(a, b), expected, rel_tol=1e-6, abs_tol=1e-9)
 
 
 class TestIouMatrix:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bytemot.geometry import BOX_MIN, BBox, Detection
-from bytemot.postprocess import TrackEntry, filter_public, interpolate
+from bytemot.geometry import BOX_MIN, BBox
+from bytemot.postprocess import TrackEntry, interpolate
 from oracles import linear_interp_scalar
 
 
@@ -121,38 +121,3 @@ class TestInterpolate:
         once = interpolate(dump, sigma=sigma)
         assert interpolate(once, sigma=sigma) == once
 
-
-class TestFilterPublic:
-    def det(self, frame, tlwh, score=0.9):
-        return Detection(frame, BBox(*tlwh), score)
-
-    def test_identical_candidate_kept(self):
-        cand = self.det(3, (10, 10, 20, 40))
-        pub = self.det(3, (10, 10, 20, 40), score=0.5)
-        assert filter_public([cand], [pub]) == [cand]
-
-    def test_disjoint_candidate_dropped(self):
-        cand = self.det(3, (10, 10, 20, 40))
-        pub = self.det(3, (500, 10, 20, 40))
-        assert filter_public([cand], [pub]) == []
-
-    def test_iou_exactly_at_bound_dropped(self):
-        # 10x8 inside 10x10: inter 80, union 100, IoU exactly 0.8
-        cand = self.det(1, (0, 0, 10, 8))
-        pub = self.det(1, (0, 0, 10, 10))
-        assert filter_public([cand], [pub], min_iou=0.8) == []
-
-    def test_other_frames_do_not_count(self):
-        cand = self.det(2, (10, 10, 20, 40))
-        pub = self.det(3, (10, 10, 20, 40))
-        assert filter_public([cand], [pub]) == []
-
-    def test_order_preserved(self):
-        pub = [self.det(1, (0, 0, 10, 10)), self.det(1, (100, 0, 10, 10))]
-        cands = [
-            self.det(1, (100, 0, 10, 10)),
-            self.det(1, (50, 0, 10, 10)),
-            self.det(1, (0, 0, 10, 10)),
-        ]
-        kept = filter_public(cands, pub)
-        assert kept == [cands[0], cands[2]]

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from bytemot.geometry import iou
 from bytemot.mot_io import read_detections, read_gt, write_detections, write_gt
 from bytemot.synth import (
     ScenarioConfig,
@@ -12,6 +11,7 @@ from bytemot.synth import (
     scenario_to_text,
     timing_config,
 )
+from oracles import iou
 
 
 def noiseless(**overrides):
