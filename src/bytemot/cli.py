@@ -23,7 +23,7 @@ from .geometry import Detection, _overlaps
 # (perfbench/instrument.py) patches cli.iou_matrix_tlbr.
 from .geometry import iou_matrix_tlbr  # noqa: F401
 from .metrics import _FRAME, EvalResult, GtEntry, _edges, _int_column, aggregate, evaluate
-from .postprocess import DEFAULT_SIGMA, TrackDump, interpolate
+from .postprocess import DEFAULT_SIGMA, TrackDump, TrackEntry, interpolate
 from .tracker import ByteTracker, Mode, TrackerConfig
 
 CSV_VERSION = "1"
@@ -39,7 +39,8 @@ def run_tracker(
     empty frames would, with work bounded by lost_ttl, not by the gap."""
     by_frame = mot_io.group_by_frame(dets)
     tracker = ByteTracker(cfg)
-    rows = []
+    # frames increase, so each track's entries arrive in frame order
+    dump: TrackDump = {}
     timings = []
     for frame in sorted(by_frame):
         frame_dets = by_frame[frame]
@@ -47,8 +48,8 @@ def run_tracker(
         result = tracker.step(frame, frame_dets)
         timings.append((time.perf_counter() - start) * 1000.0)
         for out in result.outputs:
-            rows.append((frame, out.track_id, out.box, out.score))
-    return mot_io.dump_from_rows(rows), timings
+            dump.setdefault(out.track_id, []).append(TrackEntry(frame, out.box, out.score))
+    return dump, timings
 
 
 def _tracker_config(args) -> TrackerConfig:
@@ -253,7 +254,8 @@ def lowscore_counts(
     for the raw detections and for the boxes the tracker kept. A box is TP
     when it overlaps a considered truth box of its frame with IoU >=
     LOWSCORE_IOU. Each side's band is matched against the truth in one pass
-    of geometry's overlap gate, the one the evaluation uses."""
+    of geometry's overlap gate, the one the evaluation uses, keyed by dense
+    frame ranks (the gate's float keys would merge frames beyond 2**53)."""
     truth = [entry for entry in gt if entry.considered]
     truth_edges = _edges(truth)
     truth_frame = _int_column(truth, _FRAME, "ground-truth frame")
@@ -261,8 +263,9 @@ def lowscore_counts(
     counts = {}
     for side, boxes in (("det", dets), ("kept", kept)):
         low = [box for box in boxes if tau_low <= box.score <= tau_high]
-        rows, _, ious = _overlaps(_edges(low), truth_edges,
-                                  _int_column(low, _FRAME, f"{side} frame"), truth_frame)
+        low_frame = _int_column(low, _FRAME, f"{side} frame")
+        _, rank = np.unique(np.concatenate([low_frame, truth_frame]), return_inverse=True)
+        rows, _, ious = _overlaps(_edges(low), truth_edges, rank[:len(low)], rank[len(low):])
         tp = len(np.unique(rows[ious >= LOWSCORE_IOU]))
         counts[f"{side}_low_tp"] = tp
         counts[f"{side}_low_fp"] = len(low) - tp

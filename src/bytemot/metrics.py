@@ -15,9 +15,10 @@ ascending track id). The frames are then read in blocks of about
 _BLOCK_ROWS rows: a block's box edges become float64 columns, and its
 same-frame (ground truth, prediction) pairs of positive IoU come from
 geometry._overlaps, the overlap gate iou_matrix_tlbr also uses, with the
-frame as the major sort key. It gates on the x axis and scores the pairs
-with iou_matrix_tlbr's cell arithmetic, so each IoU equals that matrix's
-cell bit for bit. The CLEAR frame loop and the IDF1 weight count read that
+frame's position in the index as the major sort key (the gate's keys are
+floats, which hold positions exactly but not frames beyond 2**53). It
+gates on the x axis and scores the pairs with iou_matrix_tlbr's cell
+arithmetic, so each IoU equals that matrix's cell bit for bit. The CLEAR frame loop and the IDF1 weight count read that
 table; a pair missing from it has IoU 0. Each frame's CLEAR assignment still gets the
 dense matrix the per-frame formulation builds (open ground truth in input
 order by open predictions in ascending id, 0.0 where boxes do not overlap),
@@ -25,7 +26,7 @@ so every count, match and tie-break is unchanged. The three threshold tests
 stay separate: IoU >= iou_min for a carried-over match, 1 - IoU <=
 1 - iou_min inside min_cost_assignment, and IoU >= iou_min for an IDF1 hit.
 At iou_min 0 every same-frame pair is an IDF1 hit, so idf1 then lists every
-same-frame pair, disjoint ones included, and scores none of them.
+same-frame pair, disjoint ones included, and scores and reads no box.
 
 iou_min must satisfy 0 <= iou_min < 1 (NaN is rejected); clear_mot, idf1 and
 evaluate check it on entry. Frames and ground-truth identities are indexed as
@@ -238,15 +239,15 @@ class _Index:
                 rows = before[np.searchsorted(distinct, frames, side_of)]
                 setattr(self, f"{side}_{bound}", rows.tolist())
 
-    def blocks(self):
+    def blocks(self, boxes: bool = True):
         """The frames in consecutive blocks of about _BLOCK_ROWS rows (a frame
-        is never split), each with its box edges read."""
+        is never split), each with its box edges read if boxes is true."""
         rows_end = np.add(self.gt_end, self.pred_end)
         f0 = 0
         while f0 < len(self.frames):
             budget = self.gt_start[f0] + self.pred_start[f0] + _BLOCK_ROWS
             f1 = max(f0 + 1, int(np.searchsorted(rows_end, budget, "right")))
-            yield _Block(self, f0, f1)
+            yield _Block(self, f0, f1, boxes)
             f0 = f1
 
     def block_tables(self, keep: bool):
@@ -264,22 +265,26 @@ class _Index:
 
 
 class _Block:
-    """Frames [f0, f1) of an index with box edges as (4, n) columns, rows in
-    index order; ``g0`` is the index row of the first ground truth, and
-    ``pred_rank`` holds the predictions' track ranks."""
+    """Frames [f0, f1) of an index, rows in index order; ``g0`` is the index
+    row of the first ground truth, ``pred_rank`` holds the predictions' track
+    ranks, and ``gt_frame``/``pred_frame`` each row's frame position in the
+    index (not the frame itself: positions stay exact as the float keys of
+    geometry's overlap gate, frames beyond 2**53 would not). With boxes, the
+    box edges are (4, n) columns."""
 
-    def __init__(self, index: _Index, f0: int, f1: int):
+    def __init__(self, index: _Index, f0: int, f1: int, boxes: bool = True):
         self.f0, self.f1 = f0, f1
         self.g0, g1 = index.gt_start[f0], index.gt_end[f1 - 1]
         p0, p1 = index.pred_start[f0], index.pred_end[f1 - 1]
-        frames = index.frames[f0:f1]
+        positions = np.arange(f0, f1)
         self.gt_frame = np.repeat(
-            frames, np.subtract(index.gt_end[f0:f1], index.gt_start[f0:f1]))
-        self.gt_box = _edges(_take(index.gt, index.gt_rows[self.g0:g1]))
+            positions, np.subtract(index.gt_end[f0:f1], index.gt_start[f0:f1]))
         self.pred_frame = np.repeat(
-            frames, np.subtract(index.pred_end[f0:f1], index.pred_start[f0:f1]))
-        self.pred_box = _edges(_take(index.pred_entries, index.pred_rows[p0:p1]))
+            positions, np.subtract(index.pred_end[f0:f1], index.pred_start[f0:f1]))
         self.pred_rank = index.pred_rank[p0:p1]
+        if boxes:
+            self.gt_box = _edges(_take(index.gt, index.gt_rows[self.g0:g1]))
+            self.pred_box = _edges(_take(index.pred_entries, index.pred_rows[p0:p1]))
 
     def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The block's same-frame pairs of positive IoU as (ground-truth index
@@ -429,7 +434,7 @@ def idf1(gt: list[GtEntry], pred: TrackDump, iou_min: float = 0.5) -> IdfResult:
     if iou_min == 0.0:
         # every same-frame pair is a hit, disjoint ones included: two
         # accepted boxes never have a negative or NaN IoU
-        hits = chain.from_iterable(block.all_pairs() for block in index.blocks())
+        hits = chain.from_iterable(block.all_pairs() for block in index.blocks(boxes=False))
     else:
         if index.tables is not None:
             tables = index.tables  # kept by clear_mot under evaluate

@@ -1042,6 +1042,74 @@ def ref_read_gt(path) -> list[GtEntry]:
     return entries
 
 
+# --- reference writers -------------------------------------------------------
+#
+# The MOT text writers as they were before they formatted every row with one
+# template: a sort with a key function over records or row tuples, then one
+# f-string and one write per row. Kept verbatim (renamed) as their reference.
+
+_REF_PRINT_MIN = 0.005
+
+
+def _ref_unprintable(path, what: str, frame: int, box: BBox) -> ValueError:
+    """The writers' error for a box whose width or height is below
+    _PRINT_MIN: it would print as 0.00, and a reader would skip its row."""
+    return ValueError(
+        f"{path}: {what} in frame {frame} has box size {box.width:.6g} x "
+        f"{box.height:.6g}, which prints as 0.00 at two decimals"
+    )
+
+
+def ref_write_detections(path, dets: list[Detection]) -> None:
+    rows = sorted(dets, key=lambda d: (d.frame, d.box.left, d.box.top, -d.score))
+    for d in rows:
+        if d.box.width < _REF_PRINT_MIN or d.box.height < _REF_PRINT_MIN:
+            raise _ref_unprintable(path, "a detection", d.frame, d.box)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for d in rows:
+            fh.write(
+                f"{d.frame},-1,{d.box.left:.2f},{d.box.top:.2f},"
+                f"{d.box.width:.2f},{d.box.height:.2f},{d.score:.6f},-1,-1,-1\n"
+            )
+
+
+def ref_write_results(path, tracks: TrackDump) -> None:
+    """Write a result dump sorted by (frame, id), coordinates at two decimals.
+
+    Reading the file back reproduces the dump up to the printed precision;
+    output bytes are deterministic for identical input.
+    """
+    rows = []
+    for track_id in tracks:
+        for e in tracks[track_id]:
+            rows.append((e.frame, track_id, e.box, e.score))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    for frame, track_id, box, _ in rows:
+        if box.width < _REF_PRINT_MIN or box.height < _REF_PRINT_MIN:
+            raise _ref_unprintable(path, f"track {track_id}", frame, box)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for frame, track_id, box, score in rows:
+            fh.write(
+                f"{frame},{track_id},{box.left:.2f},{box.top:.2f},"
+                f"{box.width:.2f},{box.height:.2f},{score:.6f},-1,-1,-1\n"
+            )
+
+
+def ref_write_gt(path, entries: list[GtEntry]) -> None:
+    rows = sorted(entries, key=lambda e: (e.frame, e.identity))
+    for e in rows:
+        if e.box.width < _REF_PRINT_MIN or e.box.height < _REF_PRINT_MIN:
+            raise _ref_unprintable(path, f"identity {e.identity}", e.frame, e.box)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for e in rows:
+            flag = 1 if e.considered else 0
+            fh.write(
+                f"{e.frame},{e.identity},{e.box.left:.2f},{e.box.top:.2f},"
+                f"{e.box.width:.2f},{e.box.height:.2f},{flag},{_REF_PEDESTRIAN_CLASS},"
+                f"{e.visibility:.6f}\n"
+            )
+
+
 # --- shared test helpers ----------------------------------------------------
 
 

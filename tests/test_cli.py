@@ -360,6 +360,26 @@ class TestLowscoreCounts:
     def test_equals_reference(self, case):
         assert lowscore_counts(*case) == ref_lowscore_counts(*case)
 
+    @settings(max_examples=100)
+    @given(lowscore_cases(), st.sampled_from([2**53 - 3, 2**62, 2**63 - 9]))
+    def test_equals_reference_beyond_float_precision(self, case, base):
+        # frames float64 cannot tell apart are matched only within a frame
+        gt, dets, pred, tau_low, tau_high = case
+        gt = [replace(g, frame=base + g.frame) for g in gt]
+        dets = [replace(d, frame=base + d.frame) for d in dets]
+        pred = {t: [replace(e, frame=base + e.frame) for e in entries]
+                for t, entries in pred.items()}
+        case = gt, dets, pred, tau_low, tau_high
+        assert lowscore_counts(*case) == ref_lowscore_counts(*case)
+
+    def test_neighbouring_frames_beyond_2_to_53_never_match(self):
+        box = BBox(0, 0, 10, 10)
+        gt = [GtEntry(2**53, 1, box)]
+        dets = [Detection(2**53 + 1, box, 0.3), Detection(2**53, box, 0.3)]
+        pred = {7: [TrackEntry(2**53 + 1, box, 0.3)]}
+        counts = lowscore_counts(gt, dets, pred, 0.1, 0.6)
+        assert counts == {"det_low_tp": 1, "det_low_fp": 1, "kept_low_tp": 0, "kept_low_fp": 1}
+
     def test_exact_half_iou_is_tp(self):
         gt = [GtEntry(1, 1, BBox(0, 0, 10, 10)), GtEntry(2, 1, BBox(0, 0, 10, 10), False)]
         dets = [Detection(1, BBox(0, 0, 10, 5), 0.3), Detection(1, BBox(0, 0, 10, 4.9), 0.3),

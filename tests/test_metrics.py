@@ -325,6 +325,34 @@ class TestColumnarEquivalence:
             self.check(*seq, iou_min, ignore)
 
 
+class TestFramesBeyondFloatPrecision:
+    """Frames that float64 cannot tell apart (beyond 2**53) are still
+    different frames: the overlap gate is keyed by frame positions."""
+
+    BASE = 2**53
+
+    @pytest.mark.parametrize("iou_min", [0.0, 0.5])
+    def test_neighbouring_frames_never_pair(self, iou_min):
+        gt = [gt_box(self.BASE, 1)]
+        pred = {7: [pred_entry(self.BASE + 1)]}
+        assert idf1(gt, pred, iou_min=iou_min).idtp == 0
+        clear = clear_mot(gt, pred, iou_min=iou_min)
+        assert (clear.fp, clear.fn) == (1, 1)
+        result = evaluate(gt, pred, iou_min=iou_min)
+        assert (result.idtp, result.fp, result.fn) == (0, 1, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sequences(), iou_mins, st.booleans(), st.integers(1, 6),
+           st.sampled_from([2**53 - 3, 2**62, 2**63 - 9]))
+    def test_equals_reference(self, seq, iou_min, ignore, rows, base):
+        gt, pred = seq
+        gt = [dataclasses.replace(g, frame=base + g.frame) for g in gt]
+        pred = {t: [dataclasses.replace(e, frame=base + e.frame) for e in entries]
+                for t, entries in pred.items()}
+        with mock.patch.object(metrics, "_BLOCK_ROWS", rows):
+            TestColumnarEquivalence.check(gt, pred, iou_min, ignore)
+
+
 class TestIntegerRange:
     """Frames and identities are indexed as int64 columns; larger ones are a
     ValueError, not an OverflowError."""
@@ -402,6 +430,18 @@ class TestSharedPass:
             metrics.evaluate(*seq, iou_min=0.0)
         assert gate.call_count == n_blocks
         assert block.call_count == 2 * n_blocks
+
+    def test_iou_min_zero_reads_no_block_boxes(self, seq):
+        # all_pairs needs only the frame columns; _edges still reads the
+        # ignore regions once, and clear_mot's blocks under evaluate
+        gt, dump = seq
+        n_blocks = self.n_blocks(gt, dump)
+        with mock.patch.object(metrics, "_edges", wraps=metrics._edges) as edges:
+            assert idf1(gt, dump, iou_min=0.0) == ref_idf1(gt, dump, iou_min=0.0)
+        assert edges.call_count == 1
+        with mock.patch.object(metrics, "_edges", wraps=metrics._edges) as edges:
+            metrics.evaluate(gt, dump, iou_min=0.0)
+        assert edges.call_count == 1 + 2 * n_blocks
 
     @pytest.mark.parametrize("iou_min, kept", [(0.0, False), (0.5, True)])
     def test_tables_kept_only_when_idf1_reads_them(self, seq, iou_min, kept):

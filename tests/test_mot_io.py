@@ -1,12 +1,19 @@
+import gc
+import itertools
 import logging
 import math
+import re
+import sys
+import threading
 import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bytemot import synth
+from bytemot import mot_io, synth
 from bytemot.cli import run_tracker
 
 from bytemot.geometry import BOX_LIMIT, BOX_MIN, BBox, Detection
@@ -21,11 +28,20 @@ from bytemot.mot_io import (
     write_gt,
     write_results,
     _PRINT_MIN,
+    _paused,
 )
-from bytemot.metrics import GtEntry
+from bytemot.metrics import GtEntry, evaluate
 from bytemot.postprocess import TrackEntry, interpolate
 from bytemot.tracker import TrackerConfig
-from oracles import ref_dump_from_rows, ref_read_detections, ref_read_gt, ref_read_results
+from oracles import (
+    ref_dump_from_rows,
+    ref_read_detections,
+    ref_read_gt,
+    ref_read_results,
+    ref_write_detections,
+    ref_write_gt,
+    ref_write_results,
+)
 
 
 class TestReadDetections:
@@ -568,6 +584,15 @@ class TestTableEquivalence:
             assert not reader(p)
 
 
+# the crowd_occluded benchmark workload's inputs at seed 0
+OCCLUDED_CROWD = synth.ScenarioConfig(
+    seed=11, frames=400, field_size=(1280.0, 960.0), agents=120,
+    speed_range=(1.0, 3.0), box_size_range=(24.0, 60.0), occlusion_decay=0.85,
+    base_score=0.9, score_noise_std=0.05, miss_prob=0.03, fp_per_frame=4.0,
+    fp_score_range=(0.1, 0.75), jitter_std=0.5,
+)
+
+
 def write_pipeline_files(directory, gt, dets):
     """det.txt and gt.txt of a generated sequence, and the res.txt of
     tracking and interpolating it, as the CLI pipeline writes them."""
@@ -588,12 +613,363 @@ class TestPipelineFiles:
                 assert_reads_like_reference(p, caplog)
 
     def test_occluded_crowd(self, tmp_path, caplog):
-        # the crowd_occluded benchmark workload's inputs at seed 0
-        cfg = synth.ScenarioConfig(
-            seed=11, frames=400, field_size=(1280.0, 960.0), agents=120,
-            speed_range=(1.0, 3.0), box_size_range=(24.0, 60.0), occlusion_decay=0.85,
-            base_score=0.9, score_noise_std=0.05, miss_prob=0.03, fp_per_frame=4.0,
-            fp_score_range=(0.1, 0.75), jitter_std=0.5,
-        )
-        for p in write_pipeline_files(tmp_path, *synth.generate(cfg)):
+        for p in write_pipeline_files(tmp_path, *synth.generate(OCCLUDED_CROWD)):
             assert_reads_like_reference(p, caplog)
+
+
+# -- the template writers against the per-row reference writers ---------------
+
+WRITERS = {write_detections: ref_write_detections, write_results: ref_write_results,
+           write_gt: ref_write_gt}
+
+
+def write_outcome(writer, path, records):
+    """The bytes the writer wrote, or its ValueError's text; a writer that
+    raises has not created the file."""
+    try:
+        writer(path, records)
+    except ValueError as exc:
+        assert not path.exists()
+        return str(exc)
+    data = path.read_bytes()
+    path.unlink()
+    return data
+
+
+def assert_writes_like_reference(writer, path, records):
+    assert write_outcome(writer, path, records) == write_outcome(WRITERS[writer], path, records)
+
+
+# signed zeros, halves that %.2f rounds to even, doubles just below a printed
+# half (1.005, 2.675) and the box bounds
+EDGE_COORDS = [0.0, -0.0, 0.005, -0.005, 0.015, -0.015, 0.125, 0.375, 1.005, 2.675,
+               -0.004, 123.455, BOX_LIMIT, -BOX_LIMIT]
+PRINTABLE_SIZES = [_PRINT_MIN, 0.015, 0.125, 1.005, 2.675, 40.0, BOX_LIMIT]
+UNPRINTABLE_SIZES = [BOX_MIN, 0.004, math.nextafter(_PRINT_MIN, 0.0)]
+UNIT_VALUES = [0.0, -0.0, 1.0, 0.5, 5e-7, 1.5e-6, 2.5e-6, 0.1234565, 0.9999995]
+
+coords = st.one_of(st.sampled_from(EDGE_COORDS), st.floats(-1e4, 1e4))
+units = st.one_of(st.sampled_from(UNIT_VALUES), st.floats(0.0, 1.0))
+# numpy integers and integral floats are written as they print (5.0 as 5.0)
+small_ints = st.one_of(
+    st.integers(-3, 3), st.integers(-3, 3).map(np.int64), st.integers(-3, 3).map(np.int32),
+    st.integers(-3, 3).map(float), st.integers(-3, 3).map(np.float64),
+    st.sampled_from([2**63 - 1, -(2**63), np.uint64(2**63 - 1)]),
+)
+detection_frames = st.one_of(
+    st.integers(1, 4), st.integers(1, 4).map(np.int64), st.integers(1, 4).map(np.uint8),
+    st.just(2**63 - 1),
+)
+# values no int64 column holds exactly
+INEXACT = [1.5, -0.5, True, False, np.bool_(True), np.float64(2.5), 2**63, -(2**63) - 1,
+           float(2**63), np.uint64(2**63), math.nan, math.inf]
+
+
+@st.composite
+def sizes(draw):
+    """Mostly printable sizes, now and then one that prints as 0.00."""
+    if draw(st.integers(0, 24)) == 0:
+        return draw(st.sampled_from(UNPRINTABLE_SIZES))
+    return draw(st.one_of(st.sampled_from(PRINTABLE_SIZES), st.floats(0.01, 1e4)))
+
+
+boxes = st.builds(BBox, coords, coords, sizes(), sizes())
+
+
+@st.composite
+def result_dumps(draw):
+    """A hand-built dump: track lists in any frame order, with repeated
+    frames, so (frame, id) ties are common; ids of several types."""
+    dump = {}
+    for track_id in draw(st.lists(small_ints, max_size=5)):
+        dump[track_id] = draw(st.lists(
+            st.builds(TrackEntry, small_ints, boxes, units, st.booleans()), max_size=5))
+    return dump
+
+
+detection_lists = st.lists(st.builds(Detection, detection_frames, boxes, units), max_size=12)
+gt_lists = st.lists(
+    st.builds(GtEntry, small_ints, small_ints, boxes, st.sampled_from([True, False, 0, 1]),
+              units),
+    max_size=12,
+)
+
+
+class TestTemplateWriters:
+    """Each writer writes the bytes, or raises the error, that the per-row
+    reference writer does, and refuses frames and identities that are not
+    exact int64 values before opening the file."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(result_dumps())
+    def test_results_equal_reference(self, tmp_path, dump):
+        assert_writes_like_reference(write_results, tmp_path / "res.txt", dump)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(detection_lists)
+    def test_detections_equal_reference(self, tmp_path, dets):
+        assert_writes_like_reference(write_detections, tmp_path / "det.txt", dets)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(gt_lists)
+    def test_gt_equal_reference(self, tmp_path, entries):
+        assert_writes_like_reference(write_gt, tmp_path / "gt.txt", entries)
+
+    def test_ties_keep_their_order(self, tmp_path):
+        a, b, c = (BBox(x, 0, 5, 5) for x in (3, 1, 2))
+        dump = {2: [TrackEntry(1, a, 0.1), TrackEntry(1, b, 0.2)], 1: [TrackEntry(1, c, 0.3)],
+                0: [TrackEntry(2, a, 0.4), TrackEntry(1.0, b, 0.5)]}
+        p = tmp_path / "res.txt"
+        write_results(p, dump)
+        assert [line.split(",")[:3] for line in p.read_text().splitlines()] == [
+            ["1.0", "0", "1.00"], ["1", "1", "2.00"], ["1", "2", "3.00"], ["1", "2", "1.00"],
+            ["2", "0", "3.00"]]
+        assert_writes_like_reference(write_results, p, dump)
+        dets = [Detection(1, a, 0.5), Detection(1, a, 0.5), Detection(1, b, 0.7),
+                Detection(1, b, 0.9)]
+        assert_writes_like_reference(write_detections, tmp_path / "det.txt", dets)
+        gt = [GtEntry(1, 1, a), GtEntry(1, 1, b, False), GtEntry(1, 0, c)]
+        assert_writes_like_reference(write_gt, tmp_path / "gt.txt", gt)
+
+    def test_unprintable_error_names_the_first_row_written(self, tmp_path):
+        tiny = BBox(0, 0, 0.004, 1)
+        dump = {9: [TrackEntry(1, tiny, 0.5)], 2: [TrackEntry(3, tiny, 0.5)],
+                5: [TrackEntry(1, BBox(0, 0, 1, BOX_MIN), 0.5)]}
+        p = tmp_path / "res.txt"
+        with pytest.raises(ValueError, match=r"res\.txt: track 5 in frame 1 "):
+            write_results(p, dump)
+        assert_writes_like_reference(write_results, p, dump)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(result_dumps(), st.sampled_from(INEXACT), st.booleans(), st.data())
+    def test_results_refuse_inexact_ints(self, tmp_path, dump, bad, in_frame, data):
+        entry = TrackEntry(bad if in_frame else 1, BBox(0, 0, 1, 1), 0.5)
+        if in_frame and dump:
+            entries = dump[data.draw(st.sampled_from(list(dump)))]
+        else:
+            # a drawn id equal to bad (1 == True) would take the entry in
+            dump.pop(bad, None)
+            entries = dump.setdefault(7 if in_frame else bad, [])
+        entries.insert(data.draw(st.integers(0, len(entries))), entry)
+        rows = [(track_id, e.frame) for track_id in dump for e in dump[track_id]]
+        track_id, frame = next(row for row in rows if not all(map(is_exact_int64, row)))
+        p = tmp_path / "res.txt"
+        with pytest.raises(ValueError) as raised:
+            write_results(p, dump)
+        assert str(raised.value) == (
+            f"{p}: track {track_id} in frame {frame}: frames and identities "
+            "must be integers inside the int64 range")
+        assert not p.exists()
+
+    @pytest.mark.parametrize("bad", INEXACT)
+    def test_gt_refuses_inexact_ints(self, tmp_path, bad):
+        box = BBox(0, 0, 1, 1)
+        p = tmp_path / "gt.txt"
+        for entries, named in (([GtEntry(1, 1, box), GtEntry(bad, 2, box)], (2, bad)),
+                               ([GtEntry(1, 1, box), GtEntry(1, bad, box)], (bad, 1))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{p}: identity {named[0]} in frame {named[1]}: frames and identities")):
+                write_gt(p, entries)
+            assert not p.exists()
+
+    @pytest.mark.parametrize("frame", [2**63, np.uint64(2**63)])
+    def test_detections_refuse_frames_beyond_int64(self, tmp_path, frame):
+        p = tmp_path / "det.txt"
+        with pytest.raises(ValueError, match=re.escape(f"{p}: a detection in frame {frame}:")):
+            write_detections(p, [Detection(1, BBox(0, 0, 1, 1), 0.5),
+                                 Detection(frame, BBox(0, 0, 1, 1), 0.5)])
+        assert not p.exists()
+
+    def test_pipeline_files_equal_reference(self, tmp_path):
+        """The 48,812-row res.txt of the crowd_occluded workload, and its
+        inputs, byte for byte."""
+        gt, dets = synth.generate(OCCLUDED_CROWD)
+        dump, _ = run_tracker(dets, TrackerConfig())
+        filled = interpolate(dump, sigma=20)
+        assert sum(map(len, filled.values())) == 48812
+        for writer, records in ((write_results, filled), (write_detections, dets),
+                                (write_gt, gt)):
+            assert_writes_like_reference(writer, tmp_path / "out.txt", records)
+
+
+def is_exact_int64(value) -> bool:
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        return int(value) == value and -(2**63) <= int(value) < 2**63
+    except (ValueError, OverflowError):
+        return False
+
+
+# -- the collector pause around the readers' bulk builds -----------------------
+
+# every order in which two threads can each enter (A, B) and then leave (a, b)
+TWO_THREAD_ORDERS = ["".join(order) for order in sorted(set(itertools.permutations("AaBb")))
+                     if order.index("A") < order.index("a")
+                     and order.index("B") < order.index("b")]
+
+class TestCollectorPause:
+    """The pause disables a collector it finds enabled, restores it when the
+    outermost pause ends, also on an exception, never collects and leaves a
+    disabled collector alone, whatever threads enter and leave it."""
+
+    @pytest.fixture(autouse=True)
+    def collector_on(self):
+        assert gc.isenabled()
+
+    def test_nested(self):
+        with _paused:
+            assert not gc.isenabled()
+            with _paused:
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_exception_inside(self):
+        with pytest.raises(RuntimeError, match="inside"):
+            with _paused:
+                with _paused:
+                    raise RuntimeError("inside")
+        assert gc.isenabled()
+
+    def test_never_collects(self):
+        with mock.patch.object(gc, "collect") as collect:
+            with _paused:
+                pass
+        collect.assert_not_called()
+
+    def test_disabled_collector_stays_disabled(self, tmp_path):
+        p = tmp_path / "res.txt"
+        write_results(p, {1: [TrackEntry(1, BBox(0, 0, 1, 1), 0.5)]})
+        gc.disable()
+        try:
+            with _paused:
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+            assert read_results(p)[1][0].frame == 1
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("reader, per_row, line", [
+        (read_results, "_result", "1,1,10,20,30,40,nan,-1,-1,-1"),
+        (read_gt, "_gt_entry", "1,1,10,20,30,40,1,1,1\n1,1,10,20,30,40,1,1,1"),
+    ])
+    def test_parse_error_raised_inside_the_pause(self, tmp_path, reader, per_row, line):
+        p = tmp_path / "in.txt"
+        p.write_text("1,2,1,2,3,4,0.5,1,1\n" + line + "\n")
+        real = getattr(mot_io, per_row)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        with mock.patch.object(mot_io, per_row, spy), pytest.raises(ParseError):
+            reader(p)
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("events", TWO_THREAD_ORDERS)
+    def test_two_threads_in_every_order(self, enabled, events):
+        """Threads A and B enter (upper case) and leave (lower case) the
+        pause in the given order, one step at a time between barriers."""
+        barrier = threading.Barrier(2)
+        inside = set()
+        states = []
+        errors = []
+
+        def run(name):
+            try:
+                for event in events:
+                    barrier.wait()
+                    if event.upper() == name:
+                        if event == name:
+                            _paused.__enter__()
+                            inside.add(name)
+                        else:
+                            inside.discard(name)
+                            _paused.__exit__(None, None, None)
+                        states.append((bool(inside), gc.isenabled()))
+                    barrier.wait()
+            except BaseException as exc:  # reported below, in the test's thread
+                errors.append(exc)
+                barrier.abort()
+
+        (gc.enable if enabled else gc.disable)()
+        try:
+            threads = [threading.Thread(target=run, args=(name,)) for name in "AB"]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert not errors
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+        # while a thread is inside, the collector is off; after, as found
+        assert states == [(busy, enabled and not busy) for busy, _ in states]
+        assert len(states) == 4
+
+    def test_detections_built_with_the_collector_running(self, tmp_path):
+        # the tracker's input: a pause would push its deferred collection
+        # into the first frames' steps
+        p = tmp_path / "det.txt"
+        p.write_text("1,-1,1,2,3,4,0.5,-1,-1,-1\n")
+        with mock.patch.object(mot_io, "_build", wraps=mot_io._build) as build, \
+                mock.patch.object(gc, "disable") as disable:
+            assert read_detections(p)[0].frame == 1
+        assert build.called
+        disable.assert_not_called()
+
+    def test_many_threads_under_fast_switching(self):
+        # more threads than cores, switching every microsecond: a lost
+        # update of the depth would leave the collector off, or let it run
+        # while a thread is inside
+        seen_on = []
+
+        def run():
+            for _ in range(2000):
+                with _paused:
+                    if gc.isenabled():
+                        seen_on.append(True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not seen_on
+        assert gc.isenabled()
+
+    def test_pipeline_leaves_no_garbage(self, tmp_path):
+        """The pipeline, run with the collector disabled, makes no reference
+        cycles: pausing the collector delays no garbage."""
+
+        def pipeline():
+            det, gt_file, res = write_pipeline_files(tmp_path, *synth.generate(
+                synth.ablation_corpus()[0][1]))
+            evaluate(read_gt(gt_file), read_results(res))
+            return read_detections(det)
+
+        pipeline()  # first-call caches are not the pipeline's garbage
+        gc.collect()
+        gc.disable()
+        try:
+            dets = pipeline()
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert dets and found == 0
