@@ -28,6 +28,20 @@ stay separate: IoU >= iou_min for a carried-over match, 1 - IoU <=
 At iou_min 0 every same-frame pair is an IDF1 hit, so idf1 then lists every
 same-frame pair, disjoint ones included, and scores and reads no box.
 
+Most frames of a well-tracked sequence are quiet: every match carries over
+and nothing is left open, so the frame adds no FP, FN or ID switch and
+keeps the carried state. clear_mot settles a run of such frames with one
+array pass (_carried_run) instead of its per-row loop. It tries one at a
+block's first frame and after each frame the loop found quiet, while
+iou_min > 0 and the state holds at least _RUN_ROWS matches (a frame of the
+run holds as many ground-truth rows). The pass maps each row's identity
+rank to its place in the state and checks the row's carried track among
+the block table's pairs of IoU >= iou_min; the run ends at the first frame
+with a missing or weak carry, an identity repeated, or a ground-truth or
+prediction count other than the state's size, and that frame goes through
+the loop. A block builds the loop's overlap dict only when one of its
+frames needs the loop.
+
 iou_min must satisfy 0 <= iou_min < 1 (NaN is rejected); clear_mot, idf1 and
 evaluate check it on entry. Frames and ground-truth identities are indexed as
 int64; values outside that range raise ValueError. Memory: only the index
@@ -47,7 +61,7 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 
 import numpy as np
@@ -131,6 +145,11 @@ class EvalResult:
 # batch are geometry's _PAIR_CHUNK.
 _BLOCK_ROWS = 1 << 12
 
+# Carried matches the state must hold before clear_mot checks a carried run
+# (see _carried_run); a frame of the run holds as many ground-truth rows.
+# Below this the check costs more than the per-row loop it would spare.
+_RUN_ROWS = 32
+
 _FRAME = attrgetter("frame")
 _IDENTITY = attrgetter("identity")
 _CONSIDERED = attrgetter("considered")
@@ -189,9 +208,10 @@ class _Index:
     """Where each frame's rows of one sequence are.
 
     Considered ground truth is grouped by frame, input order kept within a
-    frame (``gt_rows`` indexes the input list), with its identities as a
-    column. Predictions are flattened in (track id, entry) order
-    (``pred_entries``) and grouped by frame the same way (``pred_rows``),
+    frame (``gt_rows`` indexes the input list), with its identities and their
+    ranks among the sorted distinct identities (``gt_ids``) as columns
+    (``gt_id``, ``gt_rank``). Predictions are flattened in (track id, entry)
+    order (``pred_entries``) and grouped by frame the same way (``pred_rows``),
     with the rank of their track id among the sorted ids (``pred_ids``) as a
     column. Ignore regions (entries not considered) keep their box edges.
     ``frames`` lists every frame with considered ground truth or predictions,
@@ -211,7 +231,7 @@ class _Index:
         considered = np.fromiter(map(_CONSIDERED, gt), bool, len(gt))
         self.gt_rows = _grouped(frame, considered)
         self.gt_id = _int_column(gt, _IDENTITY, "ground-truth identity")[self.gt_rows]
-        self.gt_ids = np.unique(self.gt_id)
+        self.gt_ids, self.gt_rank = np.unique(self.gt_id, return_inverse=True)
         ign_rows = _grouped(frame, ~considered)
         slicers = {
             "gt": _frame_slicer(frame[self.gt_rows]),
@@ -336,25 +356,50 @@ def clear_mot(
     """
     _check_iou_min(iou_min)
     index = _index(gt, pred)
+    gt_ids = index.gt_ids.tolist()
     pred_ids = index.pred_ids
     n_pred = len(pred_ids)
+    gt_start, gt_end = index.gt_start, index.gt_end
+    pred_start, pred_end = index.pred_start, index.pred_end
+    ign_start, ign_end = index.ign_start, index.ign_end
+    # evaluate reads the counts only
+    traced = not index.shared
+    # identity rank -> place in the carried state, -1 outside (_carried_run)
+    slots = np.full(len(gt_ids), -1, np.intp)
 
     fp = fn = ids = 0
-    # gt identity -> rank of the matched predicted id
+    # gt identity rank -> rank of the matched predicted id
     prev_matches: dict[int, int] = {}
     last_pred: dict[int, int] = {}
     trace: dict[int, list[tuple[int, int]]] = {}
 
-    for block, (g_rows, p_ranks, ious) in index.block_tables(keep=iou_min > 0.0):
-        # (gt row * n_pred + pred rank) -> IoU, for the block's positive pairs
-        overlap = dict(zip((g_rows * n_pred + p_ranks).tolist(), ious.tolist()))
-        g0, p0 = block.g0, index.pred_start[block.f0]
-        gids = index.gt_id[g0:index.gt_end[block.f1 - 1]].tolist()
-        ranks = block.pred_rank.tolist()
+    for block, table in index.block_tables(keep=iou_min > 0.0):
+        overlap = None
+        g0, p0 = block.g0, pred_start[block.f0]
+        frames = iter(range(block.f0, block.f1))
+        # try a carried run at the block's first frame and after each quiet one
+        quiet = True
+        for f in frames:
+            if quiet and len(prev_matches) >= _RUN_ROWS and iou_min > 0.0:
+                run = _carried_run(index, block, f, table, iou_min, prev_matches, slots)
+                if run:
+                    if traced:
+                        settled = [(gt_ids[r], pred_ids[j]) for r, j in sorted(prev_matches.items())]
+                        for frame in index.frames[f:f + run]:
+                            trace[frame] = settled.copy()
+                    # skip the run's other frames; the loop takes the next one
+                    next(islice(frames, run - 1, run - 1), None)
+                    quiet = False
+                    continue
+            if overlap is None:
+                g_rows, p_ranks, ious = table
+                # (gt row * n_pred + pred rank) -> IoU, for the block's positive pairs
+                overlap = dict(zip((g_rows * n_pred + p_ranks).tolist(), ious.tolist()))
+                gids = index.gt_rank[g0:gt_end[block.f1 - 1]].tolist()
+                ranks = block.pred_rank.tolist()
 
-        for f in range(block.f0, block.f1):
-            ga, gb = index.gt_start[f] - g0, index.gt_end[f] - g0
-            pa, pb = index.pred_start[f] - p0, index.pred_end[f] - p0
+            ga, gb = gt_start[f] - g0, gt_end[f] - g0
+            pa, pb = pred_start[f] - p0, pred_end[f] - p0
 
             current: dict[int, int] = {}
             open_gts = []
@@ -400,24 +445,65 @@ def clear_mot(
                 loose_preds = open_preds
 
             fn += unmatched_gt
-            ia, ib = index.ign_start[f], index.ign_end[f]
-            if loose_preds and ignore_unconsidered and ia < ib:
+            if loose_preds and ignore_unconsidered and ign_start[f] < ign_end[f]:
                 overlap_ign = iou_matrix_tlbr(
-                    block.pred_box[:, loose_preds].T, index.ign_box[:, ia:ib].T
+                    block.pred_box[:, loose_preds].T,
+                    index.ign_box[:, ign_start[f]:ign_end[f]].T,
                 )
                 absorbed = (overlap_ign >= iou_min).any(axis=1)
                 fp += int((~absorbed).sum())
             else:
                 fp += len(loose_preds)
 
-            # evaluate reads the counts only
-            if not index.shared:
-                trace[index.frames[f]] = [(gid, pred_ids[j]) for gid, j in sorted(current.items())]
+            if traced:
+                trace[index.frames[f]] = [(gt_ids[r], pred_ids[j]) for r, j in sorted(current.items())]
             prev_matches = current
+            quiet = not open_gts and not open_preds
 
     return ClearResult(
         fp=fp, fn=fn, ids=ids, num_gt=len(index.gt_id), matches_by_frame=trace
     )
+
+
+def _carried_run(index: _Index, block: _Block, f: int, table, iou_min: float,
+                 state: dict[int, int], slots: np.ndarray) -> int:
+    """How many frames from f on, within the block, carry every match of the
+    state (identity rank -> track rank) and leave nothing open. Such a frame
+    holds as many ground-truth rows and predictions as the state has
+    matches, each row's identity is a distinct one of the state's, and each
+    row and its carried track are a pair of the block's table with IoU >=
+    iou_min. It counts no FP, FN or ID switch and keeps the state. slots is
+    -1 everywhere and left so."""
+    size = len(state)
+    # the usual miss, found without array work
+    if not index.gt_end[f] - index.gt_start[f] == size == index.pred_end[f] - index.pred_start[f]:
+        return 0
+    # two identities carry one track only when it is listed twice in a frame
+    if len(set(state.values())) < size:
+        return 0
+    gt_count = np.subtract(index.gt_end[f:block.f1], index.gt_start[f:block.f1])
+    pred_count = np.subtract(index.pred_end[f:block.f1], index.pred_start[f:block.f1])
+    even = (gt_count == size) & (pred_count == size)
+    frames = len(even) if even.all() else int(even.argmin())
+    if not frames:
+        return 0
+    # the ground-truth rows of those frames, frames x size of them, and
+    # their strong pairs
+    r0 = index.gt_start[f]
+    g_rows, p_ranks, ious = table
+    pick = (g_rows >= r0) & (g_rows < r0 + frames * size) & (ious >= iou_min)
+    rows = g_rows[pick]
+    ranks = np.fromiter(state, np.intp, size)
+    slots[ranks] = np.arange(size)
+    slot = slots[index.gt_rank[rows]]
+    slots[ranks] = -1
+    tracks = np.fromiter(state.values(), np.intp, size)
+    carried = (slot >= 0) & (tracks[slot] == p_ranks[pick])
+    # a frame is quiet when its carried pairs fill every slot of the state
+    filled = np.zeros(frames * size, bool)
+    filled[((rows - r0) // size * size + slot)[carried]] = True
+    quiet = filled.reshape(frames, size).all(axis=1)
+    return frames if quiet.all() else int(quiet.argmin())
 
 
 def idf1(gt: list[GtEntry], pred: TrackDump, iou_min: float = 0.5) -> IdfResult:
@@ -443,8 +529,8 @@ def idf1(gt: list[GtEntry], pred: TrackDump, iou_min: float = 0.5) -> IdfResult:
         hits = ((g_rows[(hit := ious >= iou_min)], p_ranks[hit])
                 for g_rows, p_ranks, ious in tables)
     for g_rows, p_ranks in hits:
-        gt_rank = np.searchsorted(index.gt_ids, index.gt_id[g_rows])
-        cells, counts = np.unique(gt_rank * weights.shape[1] + p_ranks, return_counts=True)
+        cells, counts = np.unique(
+            index.gt_rank[g_rows] * weights.shape[1] + p_ranks, return_counts=True)
         weights.reshape(-1)[cells] += counts
 
     idtp = 0

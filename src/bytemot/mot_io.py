@@ -43,11 +43,13 @@ file, 5-7 ms more collection inside the steps that track them, against
 
 The writers print coordinates at two decimals. Each gathers its records'
 fields as columns, orders them with one stable ``np.lexsort`` and formats
-every row with one ``%`` template into a single write (``_write_rows``).
-Frames and identities are printed as given (``%s``, as an f-string prints
-them), and must be integers inside the int64 range: a bool, a fraction or a
-value outside that range raises ValueError, as does a box whose width or
-height would print as 0.00, a row a reader would skip. Both are raised
+the rows with one ``%`` template, _WRITE_ROWS rows per write
+(``_write_rows``). Frames and identities are printed as given (``%s``, as an
+f-string prints them), and must be integers inside the int64 range: a bool,
+a fraction or a value outside that range raises ValueError. So does a
+result score or a ground-truth visibility that is NaN or outside [0, 1],
+which read_results would clamp and read_gt refuse, and a box whose width or
+height would print as 0.00, a row a reader would skip. All are raised
 before the file is opened.
 """
 
@@ -401,6 +403,9 @@ _SCORE, _VISIBILITY = attrgetter("score"), attrgetter("visibility")
 _RESULT_ROW = "%s,%s,%.2f,%.2f,%.2f,%.2f,%.6f,-1,-1,-1\n"
 _DETECTION_ROW = "%s,-1,%.2f,%.2f,%.2f,%.2f,%.6f,-1,-1,-1\n"
 _GT_ROW = f"%s,%s,%.2f,%.2f,%.2f,%.2f,%d,{PEDESTRIAN_CLASS},%.6f\n"
+# Rows formatted per write: the template copies, the arguments and the text
+# of one block exist at a time
+_WRITE_ROWS = 1 << 12
 
 
 def _unprintable(path, what: str, frame: int, box: BBox) -> ValueError:
@@ -442,14 +447,17 @@ def _int64_column(values: list) -> tuple[np.ndarray | None, int | None]:
 
 
 def _write_rows(path, template: str, ints: list[list], boxes: list, tail: list[list],
-                what, minor=()) -> None:
+                what, minor=(), unit: str | None = None) -> None:
     """Write one template row per record: the ints columns (frame first),
     the box's left, top, width and height, then the tail columns, each value
     as the object given. Rows are ordered stably by the ints columns, then
-    the minor float keys. what(row) names a record in an error. Raises
-    ValueError before the file is opened for the first record in given order
-    whose frame or identity is not an integer inside the int64 range, and
-    for the first record in written order whose box prints a size of 0.00."""
+    the minor float keys, and formatted and written _WRITE_ROWS at a time.
+    what(row) names a record in an error. Raises ValueError before the file
+    is opened for the first record in given order whose frame or identity
+    is not an integer inside the int64 range, then for the first in given
+    order whose last tail value, named unit if given, is NaN or outside
+    [0, 1], and for the first record in written order whose box prints a
+    size of 0.00."""
     n = len(boxes)
     keys, bad = zip(*map(_int64_column, ints))
     bad = [row for row in bad if row is not None]
@@ -459,6 +467,14 @@ def _write_rows(path, template: str, ints: list[list], boxes: list, tail: list[l
             f"{path}: {what(row)} in frame {ints[0][row]}: frames and identities "
             "must be integers inside the int64 range"
         )
+    if unit is not None:
+        outside = ~_in_unit(np.fromiter(tail[-1], float, n))
+        if outside.any():
+            row = int(outside.argmax())
+            raise ValueError(
+                f"{path}: {what(row)} in frame {ints[0][row]} has {unit} {tail[-1][row]!r}, "
+                "outside [0, 1]"
+            )
     order = np.lexsort([*reversed(minor), *reversed(keys)])
     width, height = (np.fromiter(map(get, boxes), float, n) for get in _TLWH[2:])
     small = ((width < _PRINT_MIN) | (height < _PRINT_MIN))[order]
@@ -467,11 +483,13 @@ def _write_rows(path, template: str, ints: list[list], boxes: list, tail: list[l
         raise _unprintable(path, what(row), ints[0][row], boxes[row])
     columns = [*ints, *(list(map(get, boxes)) for get in _TLWH), *tail]
     order = order.tolist()
-    flat = [None] * (n * len(columns))
-    for j, column in enumerate(columns):
-        flat[j::len(columns)] = map(column.__getitem__, order)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write((template * n) % tuple(flat))
+        for start in range(0, n, _WRITE_ROWS):
+            rows = order[start:start + _WRITE_ROWS]
+            flat = [None] * (len(rows) * len(columns))
+            for j, column in enumerate(columns):
+                flat[j::len(columns)] = map(column.__getitem__, rows)
+            fh.write((template * len(rows)) % tuple(flat))
 
 
 def dump_from_rows(rows: list[tuple[int, int, BBox, float]]) -> TrackDump:
@@ -533,13 +551,13 @@ def write_results(path, tracks: TrackDump) -> None:
 
     Reading the file back reproduces the dump up to the printed precision;
     output bytes are deterministic for identical input. Rows of one (frame,
-    id) keep their order in the dump.
+    id) keep their order in the dump. A score must lie in [0, 1].
     """
     entries = list(chain.from_iterable(tracks.values()))
     ids = list(chain.from_iterable(map(repeat, tracks, map(len, tracks.values()))))
     _write_rows(path, _RESULT_ROW, [list(map(_FRAME, entries)), ids],
                 list(map(_BOX, entries)), [list(map(_SCORE, entries))],
-                lambda row: f"track {ids[row]}")
+                lambda row: f"track {ids[row]}", unit="score")
 
 
 def read_gt(path) -> list[GtEntry]:
@@ -575,9 +593,10 @@ def read_gt(path) -> list[GtEntry]:
 
 def write_gt(path, entries: list[GtEntry]) -> None:
     """Write ground truth sorted by (frame, identity) in the nine-column
-    layout; the active flag is 1 for a considered entry, else 0."""
+    layout; the active flag is 1 for a considered entry, else 0. A
+    visibility must lie in [0, 1]."""
     identities = list(map(_IDENTITY, entries))
     _write_rows(path, _GT_ROW, [list(map(_FRAME, entries)), identities],
                 list(map(_BOX, entries)),
                 [list(map(truth, map(_CONSIDERED, entries))), list(map(_VISIBILITY, entries))],
-                lambda row: f"identity {identities[row]}")
+                lambda row: f"identity {identities[row]}", unit="visibility")

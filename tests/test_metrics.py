@@ -353,6 +353,120 @@ class TestFramesBeyondFloatPrecision:
             TestColumnarEquivalence.check(gt, pred, iou_min, ignore)
 
 
+@st.composite
+def carried_sequences(draw):
+    """Ground truth and predictions whose frames mostly repeat the previous
+    frame's matches, so CLEAR carries long runs of them, broken by one edit
+    at a time: an identity leaves or returns, repeats within a frame, moves
+    to a new track or swaps tracks with another, drifts from its track (to
+    below iou_min), a spare track or an ignore region comes or goes.
+    Identity k's 10 x 10 box sits at x = spacing * k (plus 1 per frame when
+    moving), so at spacing 3 a row also overlaps its neighbour's track at
+    IoU 7/13 >= 0.5, and the spare track overlaps identity 0's."""
+    identities = [1, 2, 3, 4, 10**12][:draw(st.integers(1, 5))]
+    n = len(identities)
+    spacing = draw(st.sampled_from([3.0, 6.0, 12.0]))
+    moving = draw(st.booleans())
+    # a frame edits the scene with probability 1 / edit_every
+    edit_every = draw(st.sampled_from([2, 6, 20]))
+    pool = [-3, 0, 1, 2, 5, 10**12]
+    present = [True] * n
+    tracks = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n, unique=True))
+    shift = [0.0] * n
+    repeated = spare = None
+    ignored = False
+    gt, pred = [], {}
+    for frame in range(1, draw(st.integers(2, 40)) + 1):
+        if frame > 1 and draw(st.integers(1, edit_every)) == 1:
+            edit, k = draw(st.sampled_from(["present", "repeated", "track", "swap", "shift",
+                                            "spare", "ignored"])), draw(st.integers(0, n - 1))
+            if edit == "present":
+                present[k] = not present[k]
+            elif edit == "repeated":
+                repeated = None if repeated is not None else k
+            elif edit == "track" and len(pool) > n:
+                tracks[k] = draw(st.sampled_from([t for t in pool if t not in tracks]))
+            elif edit == "swap":
+                tracks[k], tracks[k - 1] = tracks[k - 1], tracks[k]
+            elif edit == "shift":
+                # offsets of 0, 1, 3 and 6 give IoU 1, 9/11, 7/13 and 1/4
+                shift[k] = draw(st.sampled_from([0.0, 1.0, 3.0, 6.0]))
+            elif edit == "spare":
+                spare = None if spare is not None else draw(st.sampled_from([7, 10**12 + 1]))
+            elif edit == "ignored":
+                ignored = not ignored
+        drift = frame if moving else 0.0
+        for k, identity in enumerate(identities):
+            if present[k] or k == repeated:
+                left = spacing * k + drift
+                gt.append(GtEntry(frame, identity, BBox(left, 0.0, 10.0, 10.0)))
+                if k == repeated:
+                    gt.append(GtEntry(frame, identity, BBox(left + 1.0, 0.0, 10.0, 10.0)))
+                pred.setdefault(tracks[k], []).append(
+                    TrackEntry(frame, BBox(left + shift[k], 0.0, 10.0, 10.0), 0.9))
+        if spare is not None:
+            pred.setdefault(spare, []).append(TrackEntry(frame, BBox(drift, 0.5, 10.0, 10.0), 0.9))
+        if ignored:
+            gt.append(GtEntry(frame, 99, BBox(drift, 1.0, 10.0, 10.0), considered=False))
+    return draw(st.permutations(gt)), pred
+
+
+class TestCarriedRuns:
+    """clear_mot settles runs of frames that carry every match in one array
+    pass; the counts and matches_by_frame must equal the reference's, and on
+    a steady crowd nearly every frame must go that way."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(carried_sequences(), iou_mins, st.booleans(), st.integers(1, 3),
+           st.sampled_from([4, 9, 16, 64, 1 << 12]))
+    def test_equals_reference(self, seq, iou_min, ignore, run_rows, block_rows):
+        with mock.patch.object(metrics, "_RUN_ROWS", run_rows), \
+                mock.patch.object(metrics, "_BLOCK_ROWS", block_rows):
+            TestColumnarEquivalence.check(*seq, iou_min, ignore)
+
+    def test_missing_identity_beside_a_spare_track_ends_the_run(self):
+        # frame 4 holds as many predictions as the state has matches, but
+        # one ground-truth row fewer: identity 2 and its track are away, the
+        # spare track is a false positive, and frame 5's rows must not fill
+        # the gap
+        gt = [gt_box(f, i, l=20.0 * i) for f in (1, 2, 3) for i in (1, 2)]
+        gt += [gt_box(4, 1, l=20.0), gt_box(5, 2, l=40.0), gt_box(5, 1, l=20.0)]
+        pred = {
+            10: [pred_entry(f, l=20.0) for f in range(1, 6)],
+            20: [pred_entry(f, l=40.0) for f in (1, 2, 3, 5)],
+            30: [pred_entry(4, l=100.0)],
+        }
+        with mock.patch.object(metrics, "_RUN_ROWS", 1):
+            result = clear_mot(gt, pred)
+        assert (result.fp, result.fn, result.ids) == (1, 0, 0)
+        assert result == ref_clear_mot(gt, pred)
+
+    @pytest.fixture(scope="class")
+    def steady_crowd(self):
+        return crowd(200, 400)
+
+    def test_settles_nearly_every_crowd_frame(self, steady_crowd):
+        gt, dump = steady_crowd
+        settled = []
+        real = metrics._carried_run
+
+        def spy(*args):
+            settled.append(real(*args))
+            return settled[-1]
+
+        with mock.patch.object(metrics, "_carried_run", spy):
+            result = clear_mot(gt, dump)
+            counts = evaluate(gt, dump)
+        frames = len(result.matches_by_frame)
+        assert frames == 400
+        # under evaluate and in a direct call alike
+        assert sum(settled) >= 2 * 0.99 * frames
+        assert (counts.fp, counts.fn, counts.ids) == (result.fp, result.fn, result.ids)
+        assert result == ref_clear_mot(gt, dump)
+        # every frame has its own list
+        assert len(set(map(id, result.matches_by_frame.values()))) == frames
+
+
 class TestIntegerRange:
     """Frames and identities are indexed as int64 columns; larger ones are a
     ValueError, not an OverflowError."""

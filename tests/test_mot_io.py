@@ -647,6 +647,10 @@ EDGE_COORDS = [0.0, -0.0, 0.005, -0.005, 0.015, -0.015, 0.125, 0.375, 1.005, 2.6
 PRINTABLE_SIZES = [_PRINT_MIN, 0.015, 0.125, 1.005, 2.675, 40.0, BOX_LIMIT]
 UNPRINTABLE_SIZES = [BOX_MIN, 0.004, math.nextafter(_PRINT_MIN, 0.0)]
 UNIT_VALUES = [0.0, -0.0, 1.0, 0.5, 5e-7, 1.5e-6, 2.5e-6, 0.1234565, 0.9999995]
+# scores and visibilities the writers refuse; the first two print inside
+# [0, 1] at six decimals
+OUTSIDE_UNIT = [math.nextafter(1.0, 2.0), -1e-9, 1.5, -0.25, math.nan, math.inf, -math.inf,
+                np.float32(1.7), 2]
 
 coords = st.one_of(st.sampled_from(EDGE_COORDS), st.floats(-1e4, 1e4))
 units = st.one_of(st.sampled_from(UNIT_VALUES), st.floats(0.0, 1.0))
@@ -783,6 +787,80 @@ class TestTemplateWriters:
             write_detections(p, [Detection(1, BBox(0, 0, 1, 1), 0.5),
                                  Detection(frame, BBox(0, 0, 1, 1), 0.5)])
         assert not p.exists()
+
+    @pytest.mark.parametrize("bad", OUTSIDE_UNIT)
+    def test_results_refuse_scores_outside_unit(self, tmp_path, bad):
+        box = BBox(0, 0, 1, 1)
+        dump = {4: [TrackEntry(1, box, 0.5), TrackEntry(3, box, bad)],
+                2: [TrackEntry(2, box, bad)]}
+        p = tmp_path / "res.txt"
+        with pytest.raises(ValueError) as raised:
+            write_results(p, dump)
+        # the first record in given order, as for frames and ids
+        assert str(raised.value) == f"{p}: track 4 in frame 3 has score {bad!r}, outside [0, 1]"
+        assert not p.exists()
+
+    @pytest.mark.parametrize("bad", OUTSIDE_UNIT)
+    def test_gt_refuses_visibility_outside_unit(self, tmp_path, bad):
+        box = BBox(0, 0, 1, 1)
+        entries = [GtEntry(1, 1, box), GtEntry(2, 5, box, False, bad), GtEntry(1, 2, box, True, bad)]
+        p = tmp_path / "gt.txt"
+        with pytest.raises(ValueError) as raised:
+            write_gt(p, entries)
+        assert str(raised.value) == (
+            f"{p}: identity 5 in frame 2 has visibility {bad!r}, outside [0, 1]")
+        assert not p.exists()
+
+    def test_frame_error_comes_before_the_unit_error(self, tmp_path):
+        p = tmp_path / "res.txt"
+        with pytest.raises(ValueError, match="must be integers"):
+            write_results(p, {1: [TrackEntry(1, BBox(0, 0, 1, 1), 1.5)],
+                              2: [TrackEntry(1.5, BBox(0, 0, 1, 1), 0.5)]})
+
+    @pytest.mark.parametrize("value", [*UNIT_VALUES, *OUTSIDE_UNIT])
+    def test_written_scores_read_back_unchanged(self, tmp_path, caplog, value):
+        # a score is written when read_results would take it as it is,
+        # and refused when a line holding it would be clamped or refused
+        box = BBox(0, 0, 1, 1)
+        p = tmp_path / "res.txt"
+        if 0.0 <= value <= 1.0:
+            write_results(p, {3: [TrackEntry(1, box, value)]})
+            with caplog.at_level(logging.WARNING):
+                back = read_results(p)
+            assert back[3][0].score == float(f"{value:.6f}")
+            assert not caplog.text
+            return
+        with pytest.raises(ValueError, match="outside"):
+            write_results(p, {3: [TrackEntry(1, box, value)]})
+        p.write_text(f"1,3,0,0,1,1,{float(value)!r},-1,-1,-1\n")
+        with caplog.at_level(logging.WARNING):
+            try:
+                back = read_results(p)
+            except ParseError:
+                return
+        assert back[3][0].score != value and "clamped" in caplog.text
+
+    @pytest.mark.parametrize("value", [*UNIT_VALUES, *OUTSIDE_UNIT])
+    def test_written_visibility_reads_back(self, tmp_path, value):
+        box = BBox(0, 0, 1, 1)
+        p = tmp_path / "gt.txt"
+        if 0.0 <= value <= 1.0:
+            write_gt(p, [GtEntry(1, 3, box, True, value)])
+            assert read_gt(p)[0].visibility == float(f"{value:.6f}")
+            return
+        with pytest.raises(ValueError, match="outside"):
+            write_gt(p, [GtEntry(1, 3, box, True, value)])
+        p.write_text(f"1,3,0,0,1,1,1,1,{float(value)!r}\n")
+        with pytest.raises(ParseError, match="visibility"):
+            read_gt(p)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(result_dumps(), gt_lists, st.integers(1, 4))
+    def test_blocks_of_rows_write_the_same_bytes(self, tmp_path, dump, entries, rows):
+        with mock.patch.object(mot_io, "_WRITE_ROWS", rows):
+            assert_writes_like_reference(write_results, tmp_path / "res.txt", dump)
+            assert_writes_like_reference(write_gt, tmp_path / "gt.txt", entries)
 
     def test_pipeline_files_equal_reference(self, tmp_path):
         """The 48,812-row res.txt of the crowd_occluded workload, and its
