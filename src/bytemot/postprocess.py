@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from .geometry import BOX_MIN, BBox
 
@@ -45,6 +46,8 @@ def interpolate(tracks: TrackDump, sigma: int = DEFAULT_SIGMA) -> TrackDump:
     longer gaps are left alone, and nothing is extrapolated past a track's
     first or last frame. The operation is idempotent.
     """
+    if isinstance(sigma, bool) or not isinstance(sigma, Integral):
+        raise ValueError(f"sigma must be an integer, got {sigma!r}")
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     out: TrackDump = {}

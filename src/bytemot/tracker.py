@@ -237,15 +237,19 @@ class ByteTracker:
     def step(self, frame: int, detections: list[Detection]) -> FrameResult:
         """Run one association round and return the tracks to emit.
 
-        The frame index must be an integer (bools are rejected) that strictly
-        increases across calls, and every detection must carry this frame's
-        index. Frames skipped since the last call are advanced as empty
-        frames while any track is live, so a gap predicts, loses and removes
-        tracks exactly as feeding the empty frames would; their lost and
-        removed counts are added to last_stats.
+        The frame index must be an integer inside the int64 range (bools are
+        rejected) that strictly increases across calls, and every detection
+        must carry this frame's index. Frames skipped since the last call are
+        advanced as empty frames while any track is live, so a gap predicts,
+        loses and removes tracks exactly as feeding the empty frames would;
+        their lost and removed counts are added to last_stats.
         """
         if type(frame) is not int and (isinstance(frame, bool) or not isinstance(frame, Integral)):
             raise ValueError(f"frame index must be an integer, got {frame!r}")
+        # a numpy integer would give the int64 frame columns its own dtype
+        frame = int(frame)
+        if frame >= 2**63:
+            raise ValueError(f"frame index {frame} is outside the int64 range")
         if frame <= self._frame:
             raise ValueError(
                 f"frame index must increase, got {frame} after {self._frame}"

@@ -1,3 +1,9 @@
+import importlib.machinery
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -5,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bytemot import assignment as assignment_module
 from bytemot.assignment import Assignment, min_cost_assignment, solve
 from bytemot.geometry import iou_matrix_tlbr
 from oracles import dp_assignment, enum_assignment, padded_full_assignment, ref_solve, total_cost
@@ -270,3 +277,66 @@ class TestFlatSolveEquivalence:
             assert min_cost_assignment(np.array([[0.1]])).matches == [(0, 0)]
             assert solve(np.array([[0.4]]), np.array([[True]])).matches == [(0, 0)]
         lsap.assert_not_called()
+
+
+class TestSolverLoad:
+    """The compiled solver is loaded without importing scipy.optimize, and is
+    the very function scipy.optimize names."""
+
+    def test_fresh_interpreter_leaves_scipy_optimize_out(self):
+        # CI's interpreter flags; a later import of scipy.optimize binds the
+        # extension and hands back the same function
+        script = textwrap.dedent("""
+            import sys
+            import bytemot
+            import bytemot.cli
+            assert "scipy.optimize" not in sys.modules, sorted(sys.modules)
+            assert "scipy.optimize._lsap" not in sys.modules
+            from bytemot import assignment
+            import scipy.optimize
+            assert assignment.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+            assert scipy.optimize._lsap is sys.modules["scipy.optimize._lsap"]
+            assert scipy.optimize._lsap.linear_sum_assignment is assignment.linear_sum_assignment
+        """)
+        src = str(Path(assignment_module.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", script],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_same_function_as_scipy_optimize(self):
+        import scipy.optimize
+
+        public = scipy.optimize.linear_sum_assignment
+        assert assignment_module.linear_sum_assignment is public
+        entry = sys.modules["scipy.optimize._lsap"]
+        # loading again beside an imported scipy.optimize keeps its entry
+        assert assignment_module._load_linear_sum_assignment() is public
+        assert sys.modules["scipy.optimize._lsap"] is entry is scipy.optimize._lsap
+
+    def test_falls_back_to_the_public_import_without_the_extension_file(self):
+        import scipy.optimize
+
+        with mock.patch.object(importlib.machinery.PathFinder, "find_spec",
+                               return_value=None) as find:
+            loaded = assignment_module._load_linear_sum_assignment()
+        find.assert_called_once()
+        assert loaded is scipy.optimize.linear_sum_assignment
+
+    def test_falls_back_to_the_public_import_for_a_spec_not_of_an_extension(self):
+        import scipy.optimize
+
+        source = importlib.machinery.ModuleSpec(
+            "scipy.optimize._lsap", importlib.machinery.SourceFileLoader("x", "x.py"))
+        with mock.patch.object(importlib.machinery.PathFinder, "find_spec",
+                               return_value=source):
+            loaded = assignment_module._load_linear_sum_assignment()
+        assert loaded is scipy.optimize.linear_sum_assignment
+
+    def test_falls_back_to_the_public_import_without_a_scipy_directory(self):
+        import scipy.optimize
+
+        with mock.patch("importlib.util.find_spec", return_value=None):
+            loaded = assignment_module._load_linear_sum_assignment()
+        assert loaded is scipy.optimize.linear_sum_assignment

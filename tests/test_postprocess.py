@@ -97,6 +97,17 @@ class TestInterpolate:
         dump = {1: [entry(1, (0, 0, 10, 10)), entry(5, (5, 0, 15, 10))]}
         assert interpolate(dump, sigma=0) == dump
 
+    @pytest.mark.parametrize("sigma", [float("nan"), True, False, 2.5, 2.0, "3", None])
+    def test_rejects_a_sigma_that_is_not_an_integer(self, sigma):
+        dump = {1: [entry(1, (0, 0, 10, 10)), entry(3, (5, 0, 15, 10))]}
+        with pytest.raises(ValueError, match=f"sigma must be an integer, got {sigma!r}"):
+            interpolate(dump, sigma=sigma)
+
+    def test_numpy_integer_sigma_accepted(self):
+        dump = {1: [entry(1, (0, 0, 10, 10)), entry(3, (4, 0, 14, 10))]}
+        assert interpolate(dump, sigma=np.int64(2)) == interpolate(dump, sigma=2)
+        assert [e.frame for e in interpolate(dump, sigma=np.int32(2))[1]] == [1, 2, 3]
+
     def test_rejects_unsorted_frames(self):
         dump = {1: [entry(5, (0, 0, 10, 10)), entry(5, (1, 0, 11, 10))]}
         with pytest.raises(ValueError):

@@ -575,6 +575,35 @@ class TestStepContract:
                 assert s.n_first_matches + s.n_new_tracks + s.n_births_suppressed == s.n_high
                 assert s.n_second_matches + s.n_low_discarded == s.n_low
 
+    @pytest.mark.parametrize("frame", [2**63, np.uint64(2**63), 2**64, 2**64 + 1])
+    def test_frame_outside_int64_rejected(self, frame):
+        tracker = ByteTracker()
+        with pytest.raises(ValueError, match=f"frame index {int(frame)} is outside the int64 range"):
+            tracker.step(frame, [det(frame, 0, 0, 5, 5, 0.9)])
+        tracker.step(1, [det(1, 0, 0, 5, 5, 0.9)])
+        with pytest.raises(ValueError, match="outside the int64 range"):
+            tracker.step(frame, [])
+        assert tracker.tracks == [(1, TrackState.TRACKED, 0.9, 1, 1)]
+
+    def test_largest_int64_frame_keeps_integer_columns(self):
+        tracker = ByteTracker()
+        last = 2**63 - 1
+        tracker.step(last - 1, [det(last - 1, 0, 0, 5, 5, 0.9)])
+        out = tracker.step(np.int64(last), [det(last, 0, 0, 5, 5, 0.9)])
+        assert out.frame == last and [o.track_id for o in out.outputs] == [1]
+        assert tracker.tracks == [(1, TrackState.TRACKED, 0.9, last - 1, last)]
+        assert tracker._start.dtype == tracker._last.dtype == np.int64
+
+    @pytest.mark.parametrize("kind", [np.uint64, np.uint32, np.int16])
+    def test_numpy_frame_keeps_integer_columns(self, kind):
+        tracker = ByteTracker()
+        tracker.step(kind(1), [det(kind(1), 0, 0, 5, 5, 0.9)])
+        out = tracker.step(kind(2), [])
+        assert out.outputs == [] and tracker.last_stats.n_lost == 1
+        assert tracker.tracks == [(1, TrackState.LOST, 0.9, 1, 1)]
+        assert type(tracker.tracks[0].start_frame) is int
+        assert tracker._start.dtype == tracker._last.dtype == np.int64
+
 
 class TestKalmanCallCounts:
     """Each step predicts the live tracks in one call, updates both stages'
